@@ -564,13 +564,19 @@ def supertag(words: List[str],
                 if i == 0 and t in ("NNP", "NN"):
                     extra += _IMPERATIVE_HEDGE
                 if extra:
-                    have = {c for c, _p, _w in cands}
-                    add = []
+                    # merge rule: hand entries first, and they always
+                    # win; among the hedge sources the best-weighted
+                    # reading of each category wins, so a VerbNet frame
+                    # or corpus count is not shadowed by the blind
+                    # noun→verb hedge listing the same category
+                    hand = {c for c, _p, _w in cands}
+                    best: Dict[str, Tuple[str, str, float]] = {}
                     for cand in extra:
-                        if cand[0] not in have:
-                            have.add(cand[0])
-                            add.append(cand)
-                    cands = cands + add
+                        c = cand[0]
+                        if c not in hand and \
+                                (c not in best or cand[2] > best[c][2]):
+                            best[c] = cand
+                    cands = cands + list(best.values())
         elif i == 0 and lower in ("and", "or", "but", "nor", "so", "yet"):
             # sentence-initial discourse connective: "And I don't have …"
             cands = _SENT_INITIAL_CC + cands

@@ -94,7 +94,9 @@ def _stem_guesses(w: str) -> List[Tuple[str, str]]:
 
 # verb candidate templates per surface form: the high-frequency frames
 # of parser._verb_cats, priced as hedges (positive VerbNet evidence ⇒
-# slightly better than the blind noun→verb hedge's -0.8)
+# slightly better than the blind noun→verb hedge's -0.8).  That price
+# holds where both list a category: parser.supertag keeps the hand
+# entries first, then the best-weighted hedge reading per category.
 def _frames(feat: str, pos: str, base: float):
     return [(r"(S[%s]\NP)/NP" % feat, pos, base),
             (r"S[%s]\NP" % feat, pos, base - 0.05),
@@ -176,7 +178,9 @@ class SupertagModel:
       drops the learned duplicate, so corpus counts only ever ADD
       readings, never re-rank the hand list (a confirmation-bonus
       re-rank was tried and rejected — it reordered closed-class
-      entries on skewed corpora).
+      entries on skewed corpora).  Against the other hedge sources
+      (VerbNet frames, the blind noun→verb hedge) the best weight per
+      category wins.
     """
 
     def __init__(self, word_counts: Dict[str, Dict[str, int]],

@@ -79,3 +79,53 @@ def test_mistagged_verb_sentences_parse():
         assert d is not None, s
         c.compose_ccgbank(d).get_drs()
     assert not c.missing_rules
+
+
+def _cands(cands):
+    """{category: weight} of one token's supertag candidates."""
+    return {c: wt for c, _p, wt in cands}
+
+
+def test_supertag_merge_keeps_best_hedge_per_category(monkeypatch):
+    """Hand entries win outright; among the hedge sources (blind
+    noun→verb hedge, VerbNet frames, corpus counts, imperative hedge)
+    the best-weighted reading of each category wins."""
+    from ie_ray.ccg import supertagger
+    from ie_ray.ccg.parser import pos_tag, supertag
+    monkeypatch.setattr(supertagger, "_VN_LEMMAS", frozenset({"fall"}))
+    model = SupertagModel({"fall": {"N/N": 8}}, {"NN": {"N/N": 8}})
+    monkeypatch.setattr(supertagger, "_MODEL", model)
+    monkeypatch.setattr(supertagger, "_MODEL_TRIED", True)
+    assert model.word_extras("fall") == [("N/N", "NN", -0.25)]
+
+    words = "stocks fall as investors panic .".split()
+    assert pos_tag(words)[1] == "NN"
+    fall = _cands(supertag(words)[1])
+    # VerbNet's -0.65 beats the blind noun→verb hedge's -0.85
+    assert fall[r"S[dcl]\NP"] == pytest.approx(-0.65)
+    # the hand-list N/N keeps its -0.4 against the model's -0.25
+    assert fall["N/N"] == pytest.approx(-0.4)
+
+    words = "panic spreads .".split()
+    assert pos_tag(words)[0] == "NN"
+    first = _cands(supertag(words)[0])
+    # the imperative hedge's -0.65 beats the blind hedge's -0.8
+    assert first[r"(S[b]\NP)/NP"] == pytest.approx(-0.65)
+
+
+@pytest.mark.parametrize("lemmas", [frozenset(),
+                                    frozenset({"fall"}),
+                                    frozenset({"fall", "panic", "stock",
+                                               "invest"})])
+def test_present_tense_headline_verb_any_verbnet_data(monkeypatch, lemmas):
+    """The headline "Stocks fall as investors panic." keeps `fall` as a
+    predicate whether the VerbNet lemma set is absent or loaded."""
+    from ie_ray.ccg import supertagger
+    from ie_ray.ccg.parser import CkyParser
+    from ie_ray.semantics.engine import Composer
+    monkeypatch.setattr(supertagger, "_VN_LEMMAS", lemmas)
+    d = CkyParser().parse("Stocks fall as investors panic.")
+    assert d is not None
+    got = {t["pred"] for t in Composer().compose_ccgbank(d).triples()
+           if t["kind"] == "arg"}
+    assert "fall" in got
