@@ -297,10 +297,7 @@ def scaling(sf_dir: str, reps: int = 2, levels=None) -> dict:
                 [sys.executable, __file__, "--single-run", str(cpus)],
                 capture_output=True, text=True, cwd=os.path.dirname(
                     os.path.abspath(__file__)) or ".",
-                env={**os.environ, "GRAFT_SF_DIR": sf_dir,
-                     # honest accounting even when the adaptive level
-                     # picker lands below 6 CPUs (see kg.py actor_cpus)
-                     "IE_RAY_HONEST_ACTOR_CPUS": "1"})
+                env={**os.environ, "GRAFT_SF_DIR": sf_dir})
             line = proc.stdout.strip().splitlines()[-1]
             run = json.loads(line)
             run["effective_cores_probe"] = free

@@ -27,13 +27,9 @@ import ray
 import ray.data
 
 from ..sources.pages import write_fixture_tables
-from ..stages.compose_stage import ComposeActor
 from ..stages.extract import add_page_hash, extract_text_batch, filter_lang
-from ..stages.link import LinkActor, load_alias_map
-from ..stages.parse import ReplayParserActor
+from ..stages.link import load_alias_map
 from ..stages.segment import segment_batch
-
-_FIXTURE_CACHE = {}
 
 
 def default_fixture_dir(n_pages: int = 200, pool_size: int = 1200) -> str:
@@ -53,11 +49,30 @@ def _load_derivation_map(fixture_dir: str) -> dict:
                     t.column("ccgbank").to_pylist()))
 
 
+def _pool_sizes(ncpu: int):
+    """Actor-pool sizing from the cluster's CPU count alone:
+    ``(actor_cpus, dedup_cpus, (min, max) concurrency, fused_cap)``.
+
+    Each pool may grow to a third of the cluster, prestarting a few
+    actors only when there is headroom (≥16 CPUs); the fused
+    parse/compose/link pool may take 3/4 of it, since the vectorized
+    feeder stages keep it busy from a few task CPUs.  Read/extract/
+    segment tasks and a downstream shuffle's map tasks each need one
+    whole CPU, so an actor reserves at most ``(ncpu - 1) / 2`` (the two
+    pools at their minimum size leave one CPU free; none at 1 CPU) and a
+    whole core only from 6 CPUs up, where even both pools at their
+    maximum size leave one CPU.  Below that, whole-core actors starve
+    the tasks: at 4 CPUs, ``kg_edges`` → pagerank hung with 3.25 of 4
+    CPUs held by actors and a 1-CPU shuffle task pending."""
+    actor_cpus = min((ncpu - 1) / 2, 1 if ncpu >= 6 else 0.5)
+    cap = max(2, ncpu // 3)
+    concurrency = (min(4, cap), cap) if ncpu >= 16 else (1, cap)
+    return (actor_cpus, min(0.5, actor_cpus), concurrency,
+            max(cap, ncpu * 3 // 4))
+
+
 def kg_triples(fixture_dir: Optional[str] = None,
                pages_ds: Optional["ray.data.Dataset"] = None,
-               concurrency=None,
-               dedup: bool = True,
-               link: bool = True,
                alias_table_path: Optional[str] = None,
                dedup_shards=None) -> "ray.data.Dataset":
     """pages → linked triples Dataset (lazy; caller consumes/writes).
@@ -69,64 +84,42 @@ def kg_triples(fixture_dir: Optional[str] = None,
     ccg.py:1887-1917).  Swap in a real KB (e.g. a Wikipedia
     anchor-text dump reduced to that schema) without touching the
     pipeline; defaults to ``<fixture_dir>/alias_table.parquet``.  Env
-    override: ``IE_RAY_ALIAS_TABLE``."""
+    override: ``IE_RAY_ALIAS_TABLE``.
+
+    ``dedup_shards`` lets a sharded/resumable caller share ONE dedup
+    index across per-shard pipeline runs (cross-shard duplicates must
+    not escape just because the work is checkpointed per shard)."""
     fixture_dir = fixture_dir or default_fixture_dir()
     alias_table_path = (alias_table_path
                         or os.environ.get("IE_RAY_ALIAS_TABLE")
                         or os.path.join(fixture_dir, "alias_table.parquet"))
-    if concurrency is None:
-        # elastic pools: each heavy stage may grow to a third of the cluster
-        # (three heavy stages — parse, compose, link); a moderate prestart
-        # minimum cuts the ramp-up time that otherwise dominates short runs
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        cap = max(2, ncpu // 3)
-        # prestart minimum only when there's headroom — on tiny clusters the
-        # reserved actors would starve the stateless task operators
-        concurrency = (min(4, cap), cap) if ncpu >= 16 else (1, cap)
-    elif isinstance(concurrency, int):
-        concurrency = (1, concurrency)
-    ncpu_total = int(ray.cluster_resources().get("CPU", 4))
-    # Half-CPU actor slots ONLY below 6 CPUs (pytest-size clusters), where
-    # full reservations would deadlock the task operators.  At ≥6 the
-    # accounting must be honest — 0.5-CPU actors oversubscribe the host
-    # (each busy actor burns a real core), which inflates small-cluster
-    # throughput and corrupts the N-vs-4N scaling measurement.
-    # IE_RAY_HONEST_ACTOR_CPUS forces full reservations at ANY cluster
-    # size — the scaling harness sets it so a small leg picked below 6
-    # CPUs (adaptive levels) can't silently burn 2× its nominal cores.
-    actor_cpus = 1 if (ncpu_total >= 6
-                       or os.environ.get("IE_RAY_HONEST_ACTOR_CPUS")) else 0.5
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    actor_cpus, dedup_cpus, concurrency, fused_cap = _pool_sizes(ncpu)
     if pages_ds is None:
         pages_ds = ray.data.read_parquet(
             os.path.join(fixture_dir, "pages"),
             columns=["url", "html", "lang"],
-            override_num_blocks=max(ncpu_total * 2, 8))
+            override_num_blocks=max(ncpu * 2, 8))
 
     ds = pages_ds.map_batches(extract_text_batch, batch_format="pyarrow")
     ds = filter_lang(ds, "en")
-    if dedup:
-        # online sharded hash index (reference semantics: probe-and-insert,
-        # aws/__init__.py:115-136) — no all-to-all shuffle on the hot path.
-        # ``dedup_shards`` lets a sharded/resumable caller share ONE index
-        # across per-shard pipeline runs (cross-shard duplicates must not
-        # escape just because the work is checkpointed per shard).
-        from ..stages.dedup_index import DedupFilter, create_dedup_index
-        shards = dedup_shards if dedup_shards is not None else \
-            create_dedup_index(num_shards=max(4, ncpu_total // 4))
-        ds = ds.map_batches(add_page_hash, batch_format="pyarrow")
-        ds = ds.map_batches(DedupFilter,
-                            fn_constructor_kwargs={"shards": shards},
-                            batch_format="pyarrow", batch_size=8192,
-                            concurrency=concurrency
-                            if isinstance(concurrency, tuple) else (1, 4),
-                            num_cpus=min(0.5, actor_cpus))
+    # online sharded hash index (reference semantics: probe-and-insert,
+    # aws/__init__.py:115-136) — no all-to-all shuffle on the hot path
+    from ..stages.dedup_index import DedupFilter, create_dedup_index
+    shards = dedup_shards if dedup_shards is not None else \
+        create_dedup_index(num_shards=max(4, ncpu // 4))
+    ds = ds.map_batches(add_page_hash, batch_format="pyarrow")
+    ds = ds.map_batches(DedupFilter,
+                        fn_constructor_kwargs={"shards": shards},
+                        batch_format="pyarrow", batch_size=8192,
+                        concurrency=concurrency, num_cpus=dedup_cpus)
     ds = ds.map_batches(segment_batch, batch_format="pyarrow")
 
-    # batch sizes: parser input rows are PAGES (fused with segmentation —
-    # ~8 sentences each), compose/link input rows are sentences/triples.
-    # Sized so each stage runs a few hundred tasks per million pages —
-    # enough to saturate the pools without drowning the driver's scheduling
-    # loop (the dominant serial cost at small scale).
+    # batch sizes: parser input rows are sentences (segment runs as its
+    # own task operator), sized so each stage runs a few hundred tasks
+    # per million pages — enough to saturate the pools without drowning
+    # the driver's scheduling loop (the dominant serial cost at small
+    # scale).
     cold = os.environ.get("IE_RAY_COLD_PARSER", "").lower() \
         not in ("", "0", "false")
     # cold mode must not pay the replay-corpus load it will never use
@@ -136,26 +129,15 @@ def kg_triples(fixture_dir: Optional[str] = None,
         else ray.put(_load_derivation_map(fixture_dir))
     # parse, compose AND entity linking run fused in ONE actor pool: the
     # per-sentence derivation strings (the largest intermediate) and the
-    # 9M-row linked-triple hop never enter the object store.  The pool
-    # takes 3/4 of the cluster: the feeder stages (read, extract,
-    # lang-filter, segment) are vectorized Arrow kernels that keep
-    # ~24 parse actors fed from ~3 task CPUs (interleaved A/B at 32
-    # CPUs, 2.4M pages: cap 16 → 28.4k docs/s, cap 21 → 34.4k, cap 24
-    # → 35.7k best-of-2), so reserving half the cluster for them
-    # starved the parser — the actual scaling bottleneck.
+    # linked-triple hop never enter the object store.
     from ..stages.compose_stage import ParseComposeActor
-    fused_kwargs = {"derivations": derivations_ref}
+    fused_kwargs = {"derivations": derivations_ref,
+                    "alias_map": ray.put(load_alias_map(alias_table_path))}
     if cold:
         # benchmark honesty mode: a REAL crawl has no replay corpus and
         # no fixture-shaped heuristic — every sentence pays the full
         # supertagger+CKY path (BASELINE.md cold-parser row)
         fused_kwargs["heuristic_fallback"] = False
-    if link:
-        fused_kwargs["alias_map"] = ray.put(load_alias_map(
-            alias_table_path))
-    fused_cap = int(os.environ.get("IE_RAY_FUSED_CAP", "0")) or \
-        max(concurrency[1], int(
-            ray.cluster_resources().get("CPU", 4)) * 3 // 4)
     ds = ds.map_batches(
         ParseComposeActor,
         fn_constructor_kwargs=fused_kwargs,
@@ -183,7 +165,7 @@ def _page_shards(fixture_dir: str, num_shards: int):
 
 def kg_resumable(fixture_dir: Optional[str] = None,
                  out_dir: str = "/tmp/ie_ray_resumable",
-                 num_shards: int = 4, concurrency=None,
+                 num_shards: int = 4,
                  _fail_after: Optional[int] = None) -> dict:
     """Pages-level checkpoint-resume flagship (F1, north_rule lineage):
 
@@ -246,7 +228,6 @@ def kg_resumable(fixture_dir: Optional[str] = None,
         os.makedirs(tmp_dir, exist_ok=True)
         pages = ray.data.read_parquet(files, columns=["url", "html", "lang"])
         triples = kg_triples(fixture_dir, pages_ds=pages,
-                             concurrency=concurrency,
                              dedup_shards=dedup_shards)
         triples.write_parquet(tmp_dir)
         os.rename(tmp_dir, final_dir)
@@ -283,7 +264,7 @@ def kg_resumable(fixture_dir: Optional[str] = None,
 
 
 def kg_full(fixture_dir: Optional[str] = None, out_dir: str = "/tmp/ie_ray_out",
-            concurrency=None, canonicalize: bool = True) -> dict:
+            canonicalize: bool = True) -> dict:
     """Full run: triples → canonicalize → nodes/edges → partitioned parquet
     + manifests.  Returns summary counts (small driver-side values only)."""
     from ..stages.graph import build_edges, build_nodes, write_graph
@@ -295,7 +276,7 @@ def kg_full(fixture_dir: Optional[str] = None, out_dir: str = "/tmp/ie_ray_out",
     # pipeline per consumer would triple the work.  Triples are ~100× smaller
     # than the page input, so this is a deliberate small-side checkpoint,
     # not a full-input materialization.
-    triples = kg_triples(fixture_dir, concurrency=concurrency).materialize()
+    triples = kg_triples(fixture_dir).materialize()
     if canonicalize:
         # labels stay a Dataset end-to-end: CC by join-based label
         # propagation, relabel by hash join — nothing O(nodes) on the driver

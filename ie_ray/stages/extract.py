@@ -43,17 +43,17 @@ def filter_lang(ds, lang: str = "en"):
 
 
 def add_page_hash(batch: pa.Table) -> pa.Table:
-    """MD5 over (lang, domain, text) — the dedup key.
+    """MD5 over (lang, text) — the dedup key.
 
-    Parity: the reference hashes language, domain, name and article text
-    (``newsfeed/scraper.py:150-192``); url-specific parts are excluded so
-    syndicated copies on different urls collide.
+    The reference hashes language, domain, name and article text
+    (``newsfeed/scraper.py:150-192``); here the url — domain included —
+    is left out, so syndicated copies on different urls and domains
+    collide.
     """
     langs = batch.column("lang").to_pylist()
-    urls = batch.column("url").to_pylist()
     texts = batch.column("text").to_pylist()
     hashes = []
-    for lang, url, text in zip(langs, urls, texts):
+    for lang, text in zip(langs, texts):
         h = hashlib.md5()
         h.update(lang.encode("utf-8"))
         h.update(b"\x00")

@@ -293,8 +293,7 @@ def _salt_hubs(adj, hub_degree: int):
     return salted.materialize(), len(hub_k)
 
 
-def connected_components(edges_ds, max_iters: int = 25,
-                         hub_degree: int = 100_000):
+def connected_components(edges_ds, hub_degree: int = 100_000):
     """Hash-min label propagation over an edge Dataset ``(a:string,
     b:string)`` — no driver-side graph at any point.
 
@@ -313,8 +312,9 @@ def connected_components(edges_ds, max_iters: int = 25,
     2 extra iterations.  Sub-nodes sort above all real ids and are
     dropped from the returned labels.
 
-    Converges in O(diameter) iterations; exits early when a per-block
-    signature of the label table stops changing.  The label table is
+    Loops until a signature of the label table stops changing — O(diameter)
+    iterations, and it always terminates: each label only ever falls to
+    a smaller node id of a finite set.  The label table is
     ``materialize()``d per iteration (one small row per node) so the lazy
     plan doesn't re-execute the chain each round.  Returns Dataset
     (node, component) where component = min node id in the component.
@@ -332,9 +332,7 @@ def connected_components(edges_ds, max_iters: int = 25,
     # adjacency, both directions (static across iterations)
     adj = edges_ds.map_batches(explode, batch_format="pyarrow").materialize()
     if hub_degree:
-        adj, n_hubs = _salt_hubs(adj, hub_degree)
-        if n_hubs:
-            max_iters *= 3  # labels detour 2 extra hops per hub crossing
+        adj, _ = _salt_hubs(adj, hub_degree)
 
     # initial labels: min(node, min(neighbors)) — vectorized
     def self_label(batch: pa.Table) -> pa.Table:
@@ -389,20 +387,19 @@ def connected_components(edges_ds, max_iters: int = 25,
             "node": out.column("node").cast(pa.string()),
             "label": out.column("label").cast(pa.string())})
 
-    for _ in range(max_iters - 1):
+    while True:
         merged = adj.map_batches(tag_adj, batch_format="pyarrow").union(
             labels.map_batches(tag_labels, batch_format="pyarrow"))
         messages = bucketed_map_groups(merged, "node", bucket_push)
-        new_labels = (bucketed_aggregate(messages, "node",
-                                         [("label", "min")])
-                      .map_batches(lambda t: t.rename_columns(
-                          ["node", "label"]), batch_format="pyarrow")
-                      ).materialize()
-        new_sig = _label_sig(new_labels)
-        labels = new_labels
+        labels = (bucketed_aggregate(messages, "node", [("label", "min")])
+                  .map_batches(lambda t: t.rename_columns(
+                      ["node", "label"]), batch_format="pyarrow")
+                  ).materialize()
+        new_sig = _label_sig(labels)
         if new_sig == cur_sig:
             break
         cur_sig = new_sig
+
     def strip_subs(t: pa.Table) -> pa.Table:
         t = t.filter(pc.invert(pc.starts_with(t.column("node"),
                                               _SUB_PREFIX)))

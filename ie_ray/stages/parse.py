@@ -49,9 +49,8 @@ class ReplayParserActor:
             from ..ccg.parser import CkyParser
             self.cky = CkyParser()
 
-    def _parse_one(self, s: str) -> str:
-        d = self.derivations.get(
-            hashlib.md5(s.encode("utf-8")).hexdigest())
+    def _parse_one(self, s: str, key: str) -> str:
+        d = self.derivations.get(key)
         if d is not None:
             return d
         if self.fallback is not None:
@@ -73,7 +72,7 @@ class ReplayParserActor:
                 derivs.append("")
                 errors.append("too_long")
                 continue
-            d = self._parse_one(s)
+            d = self._parse_one(s, key)
             if d is not None:
                 self.derivations[key] = d       # per-actor memo
             if d is None:

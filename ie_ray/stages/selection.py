@@ -96,9 +96,10 @@ def _descend(ds, col: str, k: int, lo: np.uint64, hi: np.uint64):
             run += counts[b]
         if target is None:   # rank at/after max: clamp to top bin
             target = max(counts)
-        new_lo = lo + np.uint64(target) * width
-        hi = min(hi, new_lo + width - np.uint64(1))
-        lo = new_lo
+        # bin bounds on Python ints: the top bin may reach past 2⁶⁴ - 1
+        new_lo = int(lo) + int(target) * int(width)
+        hi = np.uint64(min(int(hi), new_lo + int(width) - 1))
+        lo = np.uint64(new_lo)
         in_rows = counts[target]
         if hi == lo:
             return lo, hi, None

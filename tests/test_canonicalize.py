@@ -18,6 +18,21 @@ def test_connected_components(ray_session):
     assert comp["x"] == comp["y"] == "x"
 
 
+def test_cc_long_path_converges(ray_session):
+    """A 30-node path whose minimum id sits at one end needs one round
+    per hop; the loop must run until the labels stop changing."""
+    import ray.data
+    from ie_ray.stages.link import connected_components
+    nodes = ["n%02d" % i for i in range(30)]
+    edges = ray.data.from_arrow(pa.table({
+        "a": pa.array(nodes[:-1], type=pa.string()),
+        "b": pa.array(nodes[1:], type=pa.string()),
+    }))
+    comp = {r["node"]: r["component"]
+            for r in connected_components(edges).take_all()}
+    assert comp == dict.fromkeys(nodes, "n00")
+
+
 def test_cc_hub_component(ray_session):
     """A star graph (hub with many leaves) — the shape that round-1's
     per-node map_groups push serialized into one Python task — must
@@ -82,7 +97,7 @@ def test_canonicalize_pipeline(ray_session, tmp_path):
                                     canonicalize_ids, connected_components)
     d = str(tmp_path / "fx")
     write_fixture_tables(d, n_pages=80, pool_size=300)
-    triples = kg_triples(d, concurrency=2).materialize()
+    triples = kg_triples(d).materialize()
     edges = alias_edges_from_triples(triples)
     assert edges.count() > 0  # appositive sentences produce _AKA edges
     comp = {r["node"]: r["component"]

@@ -85,7 +85,7 @@ def test_kg_triples_alias_override(ray_session, tmp_path, kb_path):
     from ie_ray.sources.pages import write_fixture_tables
     d = str(tmp_path / "fx")
     write_fixture_tables(d, n_pages=20)
-    ds = kg_triples(d, concurrency=2, alias_table_path=kb_path)
+    ds = kg_triples(d, alias_table_path=kb_path)
     ids = set()
     for r in ds.take_all():
         if r["subj_id"]:

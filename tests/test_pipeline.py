@@ -1,9 +1,14 @@
 """End-to-end Ray pipeline tests at small fixture scale."""
 
 import collections
+import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +60,11 @@ def test_exact_dedup(ray_session, fixture_dir):
 def test_kg_triples_and_pr(ray_session, fixture_dir):
     from ie_ray.pipelines.kg import kg_triples
     from ie_ray.pipelines.metrics import triple_pr
-    ds = kg_triples(fixture_dir, concurrency=2)
+    ds = kg_triples(fixture_dir)
     rows = ds.take_all()
     kinds = collections.Counter(r["kind"] for r in rows)
     assert kinds["arg"] > 0
-    pr = triple_pr(kg_triples(fixture_dir, concurrency=2), fixture_dir)
+    pr = triple_pr(kg_triples(fixture_dir), fixture_dir)
     assert pr["precision"] >= 0.95, pr
     assert pr["recall"] >= 0.95, pr
 
@@ -68,7 +73,7 @@ def test_quarantine_rows_present(ray_session, fixture_dir):
     # the synthesizer plants an over-long sentence; it must surface as a
     # quarantine row, not an exception
     from ie_ray.pipelines.kg import kg_triples
-    ds = kg_triples(fixture_dir, concurrency=2, dedup=False, link=False)
+    ds = kg_triples(fixture_dir)
     errs = [r["error"] for r in ds.take_all() if r["kind"] == "quarantine"]
     assert any(e == "too_long" for e in errs)
 
@@ -76,15 +81,57 @@ def test_quarantine_rows_present(ray_session, fixture_dir):
 def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path):
     from ie_ray.pipelines.kg import kg_full
     out = str(tmp_path / "graph")
-    res = kg_full(fixture_dir, out_dir=out, concurrency=2)
+    res = kg_full(fixture_dir, out_dir=out)
     assert res["nodes"] > 0 and res["edges"] > 0
     assert os.path.isdir(os.path.join(out, "manifests"))
-    import json
     mans = [m for m in os.listdir(os.path.join(out, "manifests"))
             if m.endswith(".json")]
     assert len(mans) == res["node_partitions"] + res["edge_partitions"]
     m = json.load(open(os.path.join(out, "manifests", mans[0])))
     assert m["rows"] >= 0 and "partition" in m
     # resume: a second run must not duplicate output
-    res2 = kg_full(fixture_dir, out_dir=out, concurrency=2)
+    res2 = kg_full(fixture_dir, out_dir=out)
     assert res2["nodes"] == res["nodes"] and res2["edges"] == res["edges"]
+
+
+def test_pool_sizes_rule():
+    """One whole CPU always stays free for the task operators: with both
+    actor pools at their minimum size on any cluster, and at their
+    maximum size from 3 CPUs up.  Sizing at 2 CPUs (the benchmark's) and
+    at 4 CPUs (this suite's session) is pinned."""
+    from ie_ray.pipelines.kg import _pool_sizes
+    for ncpu in range(1, 65):
+        actor_cpus, dedup_cpus, (lo, hi), fused_cap = _pool_sizes(ncpu)
+        assert ncpu - lo * (actor_cpus + dedup_cpus) >= 1, ncpu
+        if ncpu >= 3:
+            assert ncpu - hi * dedup_cpus - fused_cap * actor_cpus >= 1, ncpu
+        assert 1 <= lo <= hi <= fused_cap, ncpu
+        if ncpu >= 6:
+            assert actor_cpus == 1, ncpu
+    assert _pool_sizes(1)[:2] == (0, 0)
+    assert _pool_sizes(2) == (0.5, 0.5, (1, 2), 2)
+    assert _pool_sizes(4) == (0.5, 0.5, (1, 2), 3)
+
+
+def _sorted_rows(parquet_dir):
+    import pyarrow.parquet as pq
+    return sorted(json.dumps(r, sort_keys=True, default=str)
+                  for r in pq.read_table(parquet_dir).to_pylist())
+
+
+def test_kg_triples_one_cpu(ray_session, fixture_dir, tmp_path):
+    """A 1-CPU session finishes (actors reserve no CPU there) with the
+    same triples as the multi-CPU session."""
+    from ie_ray.pipelines.kg import kg_triples
+    one, many = str(tmp_path / "one_cpu"), str(tmp_path / "session")
+    script = ("import sys, ray\n"
+              "ray.init(address='local', num_cpus=1, "
+              "include_dashboard=False)\n"
+              "from ie_ray.pipelines.kg import kg_triples\n"
+              "kg_triples(sys.argv[1]).write_parquet(sys.argv[2])\n")
+    proc = subprocess.run([sys.executable, "-c", script, fixture_dir, one],
+                          capture_output=True, text=True, cwd=REPO,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    kg_triples(fixture_dir).write_parquet(many)
+    assert _sorted_rows(one) == _sorted_rows(many)

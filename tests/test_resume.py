@@ -33,14 +33,14 @@ def test_pages_level_resume(ray_session, tmp_path):
 
     # crash after the first completed shard
     with pytest.raises(RuntimeError, match="simulated crash"):
-        kg_resumable(d, out, num_shards=3, concurrency=2, _fail_after=1)
+        kg_resumable(d, out, num_shards=3, _fail_after=1)
     done_before = _shard_mtimes(out)
     assert len(done_before) == 1            # exactly one shard landed
     manifests = os.listdir(os.path.join(out, "manifests"))
     assert any(m.startswith("triples-shard") for m in manifests)
 
     # resume: completes, skips the landed shard byte-for-byte
-    res = kg_resumable(d, out, num_shards=3, concurrency=2)
+    res = kg_resumable(d, out, num_shards=3)
     assert res["shards_skipped"] == 1
     assert res["shards_computed"] == res["shards"] - 1
     after = _shard_mtimes(out)
@@ -49,7 +49,7 @@ def test_pages_level_resume(ray_session, tmp_path):
 
     # identical output vs an uninterrupted run of the same pipeline
     out2 = str(tmp_path / "out2")
-    res2 = kg_resumable(d, out2, num_shards=3, concurrency=2)
+    res2 = kg_resumable(d, out2, num_shards=3)
     assert res2["shards_skipped"] == 0
     assert _triple_multiset(out) == _triple_multiset(out2)
     assert res["edges"] == res2["edges"] and res["nodes"] == res2["nodes"]

@@ -69,6 +69,18 @@ def test_exact_kth_full_int64_span(ray_session):
     assert got == {0: -2**63, 2: 0, 4: 2**63 - 1}
 
 
+def test_exact_kth_ceiling_adjacent(ray_session):
+    """Values ending at the int64 maximum, over a span that is not a
+    multiple of the bin count: the top histogram bin reaches past the
+    uint64 ceiling, so its upper bound must be clamped, not wrapped."""
+    from ie_ray.stages.selection import exact_kth_int64
+
+    top = 2**63 - 1
+    v = np.int64(top) - np.arange(70_001, dtype=np.int64)
+    got = exact_kth_int64(_ds(v, parts=2), "x", [0, 35_000, 70_000])
+    assert got == {0: top - 70_000, 35_000: top - 35_000, 70_000: top}
+
+
 def test_exact_quantile_ignores_nulls(ray_session):
     import ray.data
 
