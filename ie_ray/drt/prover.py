@@ -30,7 +30,6 @@ from __future__ import annotations
 from itertools import count
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .drs import Ref
 from .fol import (TOP, And, Exists, FImp, ForAll, FOr, Necessarily, Not,
                   Possibly, Pred)
 

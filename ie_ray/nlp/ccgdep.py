@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ie_ray.ccg.ccgbank import Leaf, Node, parse_ccgbank
+from ie_ray.ccg.ccgbank import Leaf, parse_ccgbank
 from ie_ray.nlp.clause import DepToken
 
 AUX_WORDS = {

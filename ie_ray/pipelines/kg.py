@@ -3,14 +3,14 @@
 Stage graph (all streaming, no mid-pipeline materialization):
 
     read_parquet(pages, columns=[url, html, lang])
-      → extract_text (stateless map_batches, Arrow)
-      → filter lang == 'en'
-      → add_page_hash → online dedup (sharded owner-index actors)
-      → segment (flat explode page → sentence rows)
-      → ParseComposeActor (ONE actor pool: replay/CKY parse + compose +
-        entity linking fused — derivation strings and unlinked triples,
-        the two largest intermediates, never enter the object store;
-        broadcast derivation + alias dicts, per-actor Composer LRU)
+      → ONE fused task operator:
+          extract_text (Arrow) → filter lang == 'en' → add_page_hash
+          → DedupFilter (probe of the sharded owner-index actors, which
+            hold the state) → segment (flat explode page → sentence rows)
+      → ParseComposeActor (the ONE actor pool: replay/CKY parse +
+        compose + entity linking fused — derivation strings and unlinked
+        triples, the two largest intermediates, never enter the object
+        store; broadcast derivation + alias dicts, per-actor Composer LRU)
       → [canonicalize → build_nodes/build_edges groupbys
          → hash-partitioned parquet + lineage manifests]
 
@@ -27,6 +27,7 @@ import ray
 import ray.data
 
 from ..sources.pages import write_fixture_tables
+from ..stages.dedup_index import create_dedup_index
 from ..stages.extract import add_page_hash, extract_text_batch, filter_lang
 from ..stages.link import load_alias_map
 from ..stages.segment import segment_batch
@@ -50,25 +51,32 @@ def _load_derivation_map(fixture_dir: str) -> dict:
 
 
 def _pool_sizes(ncpu: int):
-    """Actor-pool sizing from the cluster's CPU count alone:
-    ``(actor_cpus, dedup_cpus, (min, max) concurrency, fused_cap)``.
+    """Sizing of the parse/compose/link actor pool from the cluster's CPU
+    count alone: ``(actor_cpus, (min, max) concurrency)``.
 
-    Each pool may grow to a third of the cluster, prestarting a few
-    actors only when there is headroom (≥16 CPUs); the fused
-    parse/compose/link pool may take 3/4 of it, since the vectorized
-    feeder stages keep it busy from a few task CPUs.  Read/extract/
-    segment tasks and a downstream shuffle's map tasks each need one
-    whole CPU, so an actor reserves at most ``(ncpu - 1) / 2`` (the two
-    pools at their minimum size leave one CPU free; none at 1 CPU) and a
-    whole core only from 6 CPUs up, where even both pools at their
-    maximum size leave one CPU.  Below that, whole-core actors starve
-    the tasks: at 4 CPUs, ``kg_edges`` → pagerank hung with 3.25 of 4
-    CPUs held by actors and a 1-CPU shuffle task pending."""
-    actor_cpus = min((ncpu - 1) / 2, 1 if ncpu >= 6 else 0.5)
-    cap = max(2, ncpu // 3)
-    concurrency = (min(4, cap), cap) if ncpu >= 16 else (1, cap)
-    return (actor_cpus, min(0.5, actor_cpus), concurrency,
-            max(cap, ncpu * 3 // 4))
+    The pool may take 3/4 of the cluster, since the vectorized feeder
+    task keeps it busy from a few CPUs, and prestarts a few actors only
+    when there is headroom (≥16 CPUs).  Read, feeder and a downstream
+    shuffle's map tasks each need one whole CPU, so the pool at its
+    maximum size leaves one CPU free: an actor reserves no CPU at 1 CPU,
+    half a core up to 5 CPUs and a whole core from 6 up."""
+    actor_cpus = 1 if ncpu >= 6 else 0.5 if ncpu >= 2 else 0
+    return actor_cpus, (4 if ncpu >= 16 else 1, max(2, ncpu * 3 // 4))
+
+
+def _new_pages(pages_ds, shards):
+    """pages → English pages whose content hash no other url owns yet.
+
+    Extract, lang filter, hash and the dedup probe are stateless per
+    batch (the membership lives in the shard actors, and owner semantics
+    make a re-executed batch idempotent), so Ray Data fuses them into the
+    read's downstream task; no batch size is set, since one after the
+    row-changing filter would split the fusion."""
+    from ..stages.dedup_index import DedupFilter
+    ds = pages_ds.map_batches(extract_text_batch, batch_format="pyarrow")
+    ds = filter_lang(ds, "en")
+    ds = ds.map_batches(add_page_hash, batch_format="pyarrow")
+    return ds.map_batches(DedupFilter(shards), batch_format="pyarrow")
 
 
 def kg_triples(fixture_dir: Optional[str] = None,
@@ -94,32 +102,18 @@ def kg_triples(fixture_dir: Optional[str] = None,
                         or os.environ.get("IE_RAY_ALIAS_TABLE")
                         or os.path.join(fixture_dir, "alias_table.parquet"))
     ncpu = int(ray.cluster_resources().get("CPU", 4))
-    actor_cpus, dedup_cpus, concurrency, fused_cap = _pool_sizes(ncpu)
+    actor_cpus, concurrency = _pool_sizes(ncpu)
     if pages_ds is None:
         pages_ds = ray.data.read_parquet(
             os.path.join(fixture_dir, "pages"),
             columns=["url", "html", "lang"],
             override_num_blocks=max(ncpu * 2, 8))
 
-    ds = pages_ds.map_batches(extract_text_batch, batch_format="pyarrow")
-    ds = filter_lang(ds, "en")
     # online sharded hash index (reference semantics: probe-and-insert,
     # aws/__init__.py:115-136) — no all-to-all shuffle on the hot path
-    from ..stages.dedup_index import DedupFilter, create_dedup_index
-    shards = dedup_shards if dedup_shards is not None else \
-        create_dedup_index(num_shards=max(4, ncpu // 4))
-    ds = ds.map_batches(add_page_hash, batch_format="pyarrow")
-    ds = ds.map_batches(DedupFilter,
-                        fn_constructor_kwargs={"shards": shards},
-                        batch_format="pyarrow", batch_size=8192,
-                        concurrency=concurrency, num_cpus=dedup_cpus)
+    ds = _new_pages(pages_ds, dedup_shards or create_dedup_index())
     ds = ds.map_batches(segment_batch, batch_format="pyarrow")
 
-    # batch sizes: parser input rows are sentences (segment runs as its
-    # own task operator), sized so each stage runs a few hundred tasks
-    # per million pages — enough to saturate the pools without drowning
-    # the driver's scheduling loop (the dominant serial cost at small
-    # scale).
     cold = os.environ.get("IE_RAY_COLD_PARSER", "").lower() \
         not in ("", "0", "false")
     # cold mode must not pay the replay-corpus load it will never use
@@ -138,14 +132,17 @@ def kg_triples(fixture_dir: Optional[str] = None,
         # no fixture-shaped heuristic — every sentence pays the full
         # supertagger+CKY path (BASELINE.md cold-parser row)
         fused_kwargs["heuristic_fallback"] = False
-    ds = ds.map_batches(
+    # parser batch: rows are sentences, sized so the pool runs a few
+    # hundred tasks per million pages — enough to saturate it without
+    # drowning the driver's scheduling loop (the dominant serial cost at
+    # small scale).
+    return ds.map_batches(
         ParseComposeActor,
         fn_constructor_kwargs=fused_kwargs,
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=(concurrency[0], fused_cap),
+        concurrency=concurrency,
         num_cpus=actor_cpus)
-    return ds
 
 
 def _page_shards(fixture_dir: str, num_shards: int):
@@ -191,29 +188,18 @@ def kg_resumable(fixture_dir: Optional[str] = None,
     # ONE dedup index shared across every shard of this run, so
     # cross-shard duplicate pages dedup exactly like the single-pass
     # flagship.  On resume, the index is re-SEEDED from the completed
-    # shards' input files (extract+hash only — the expensive
+    # shards' input files (``_new_pages`` only — the expensive
     # parse/compose work still skips), so remaining shards see the same
     # membership a crash-free run would have.
-    import pyarrow as pa
-
-    from ..stages.dedup_index import DedupFilter, create_dedup_index
-    ncpu_total = int(ray.cluster_resources().get("CPU", 4))
-    dedup_shards = create_dedup_index(num_shards=max(4, ncpu_total // 4))
+    dedup_shards = create_dedup_index()
     done_files = [files for k, files in enumerate(shards)
                   if partition_done(out_dir, "triples-shard%03d" % k)]
     if done_files:
         seed = ray.data.read_parquet(
             [f for fl in done_files for f in fl],
             columns=["url", "html", "lang"])
-        seed = filter_lang(seed.map_batches(
-            extract_text_batch, batch_format="pyarrow"), "en")
-        seed = seed.map_batches(add_page_hash, batch_format="pyarrow")
-        flt = DedupFilter(dedup_shards)
         # consume for the insert side effect; only counts reach the driver
-        seed.map_batches(
-            lambda t, _f=flt: pa.table(
-                {"n": pa.array([_f(t).num_rows], type=pa.int64())}),
-            batch_format="pyarrow").count()
+        _new_pages(seed, dedup_shards).count()
 
     completed_now, skipped = 0, 0
     for k, files in enumerate(shards):

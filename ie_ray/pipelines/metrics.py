@@ -9,7 +9,6 @@ sentence doesn't weight the metric.
 from __future__ import annotations
 
 import os
-from typing import Tuple
 
 
 def triple_pr(triples_ds, fixture_dir: str) -> dict:

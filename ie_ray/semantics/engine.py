@@ -12,10 +12,10 @@ conditions plus appositive extras.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..ccg.category import Category
-from ..ccg.ccgbank import Leaf, Node, parse_ccgbank
+from ..ccg.ccgbank import Leaf, parse_ccgbank
 from ..drt.drs import DRS, Ref, Rel
 from .lexicon import (Sem, Token, build_leaf_sem, fresh_tree, mirror_tree,
                       tree_atoms, tree_final, unify_trees)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List
 
 from ..ccg.category import Category
-from ..ccg.ccgbank import Leaf, Node, parse_ccgbank
+from ..ccg.ccgbank import Leaf, parse_ccgbank
 from .lexicon import Token
 
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .pages import (_L, _T, _np_det, _np_name, _sent, _vp_control, _vp_ivp,
-                    _vp_tv)
+from .pages import _np_det, _np_name, _sent, _vp_control, _vp_ivp, _vp_tv
 
 _WORD = re.compile(r"^[A-Za-z][A-Za-z\-]*$")
 _PREPS = {"against", "with", "on", "in", "at", "for", "from"}

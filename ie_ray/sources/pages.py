@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..nlp.text import preprocess_sentence
 

@@ -37,15 +37,12 @@ class ComposeActor:
 
     _CACHE_MAX = 65536
 
-    def __init__(self, emit_drs: bool = False, alias_map=None, options=None):
+    def __init__(self, alias_map=None):
         """``alias_map`` (broadcast dict or ObjectRef) fuses entity linking
         into this stage — one less 9M-row hop through the object store;
-        the standalone LinkActor remains for pipelines that link later.
-        ``options`` is a :class:`ie_ray.semantics.ComposeOptions` (the
-        CO_* surface), broadcast verbatim into every actor."""
+        the standalone LinkActor remains for pipelines that link later."""
         from collections import OrderedDict
-        self.composer = Composer(options=options)
-        self.emit_drs = emit_drs
+        self.composer = Composer()
         self.linker = None
         if alias_map is not None:
             from .link import LinkActor
@@ -71,14 +68,13 @@ class ComposeActor:
         plus C-speed ``list.extend`` per column, not len(triples) Python
         appends (the warm path is ~85%% of flagship CPU; this cut its
         row-assembly term ~4×).  Returns (k, subjs, preds, objs, kinds,
-        subj_ids, obj_ids, drs_str); k == 0 ⇒ empty-parse row.
+        subj_ids, obj_ids, err_tag); k == 0 ⇒ empty-parse row.
         """
         hit = self._cache.get(derivation)
         if hit is not None:
             self._cache.move_to_end(derivation)
             return hit
         sem = self.composer.compose_ccgbank(derivation)
-        drs_str = sem.get_drs().show() if self.emit_drs else ""
         # quarantine-tag unknown-irregular stems (lemmatizer kept the
         # surface form; VERDICT r2 item 6) — soft tag, rows still emit
         unsure = ",".join(sorted({t.word for t in sem.tokens
@@ -95,7 +91,7 @@ class ComposeActor:
         else:
             subj_ids = obj_ids = None
         result = (len(triples), subjs, preds, objs, kinds,
-                  subj_ids, obj_ids, drs_str, err_tag)
+                  subj_ids, obj_ids, err_tag)
         self._cache[derivation] = result
         if len(self._cache) > self._CACHE_MAX:
             self._cache.popitem(last=False)
@@ -111,13 +107,11 @@ class ComposeActor:
 
         link = self.linker is not None
         cols = {n: [] for n in TRIPLE_SCHEMA.names}
-        if self.emit_drs:
-            cols["drs"] = []
         if link:
             cols["subj_id"] = []
             cols["obj_id"] = []
 
-        def emit_one(u, p, s, h, kind, err, drs=""):
+        def emit_one(u, p, s, h, kind, err):
             cols["url"].append(u)
             cols["para_idx"].append(p)
             cols["sent_idx"].append(s)
@@ -127,8 +121,6 @@ class ComposeActor:
             cols["obj"].append(None)
             cols["kind"].append(kind)
             cols["error"].append(err)
-            if self.emit_drs:
-                cols["drs"].append(drs)
             if link:
                 cols["subj_id"].append(None)
                 cols["obj_id"].append(None)
@@ -140,13 +132,13 @@ class ComposeActor:
                 continue
             try:
                 (k, subjs, preds, objs, kinds, subj_ids, obj_ids,
-                 drs_str, err_tag) = self._compose(d)
+                 err_tag) = self._compose(d)
             except Exception as e:  # row-level failure is data, not a crash
                 emit_one(u, p, s, h, "quarantine",
                          "compose: %s" % type(e).__name__)
                 continue
             if k == 0:
-                emit_one(u, p, s, h, "empty", "", drs_str)
+                emit_one(u, p, s, h, "empty", "")
                 continue
             cols["url"].extend([u] * k)
             cols["para_idx"].extend([p] * k)
@@ -157,14 +149,10 @@ class ComposeActor:
             cols["obj"].extend(objs)
             cols["kind"].extend(kinds)
             cols["error"].extend([err_tag] * k)
-            if self.emit_drs:
-                cols["drs"].extend([drs_str] * k)
             if link:
                 cols["subj_id"].extend(subj_ids)
                 cols["obj_id"].extend(obj_ids)
         schema = TRIPLE_SCHEMA
-        if self.emit_drs:
-            schema = schema.append(pa.field("drs", pa.string()))
         if link:
             schema = schema.append(pa.field("subj_id", pa.string()))
             schema = schema.append(pa.field("obj_id", pa.string()))
@@ -179,16 +167,12 @@ class ParseComposeActor:
     object store between two pools.  One pool also means one concurrency
     knob for the whole semantic phase."""
 
-    def __init__(self, derivations, emit_drs: bool = False, alias_map=None,
-                 heuristic_fallback: bool = True, cky_fallback: bool = True,
-                 options=None):
+    def __init__(self, derivations, alias_map=None,
+                 heuristic_fallback: bool = True):
         from .parse import ReplayParserActor
         self.parser = ReplayParserActor(derivations,
-                                        heuristic_fallback=heuristic_fallback,
-                                        cky_fallback=cky_fallback)
-        self.composer_stage = ComposeActor(emit_drs=emit_drs,
-                                           alias_map=alias_map,
-                                           options=options)
+                                        heuristic_fallback=heuristic_fallback)
+        self.composer_stage = ComposeActor(alias_map=alias_map)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.composer_stage(self.parser(batch))

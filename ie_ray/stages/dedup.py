@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import struct
 from typing import List
 
 import numpy as np

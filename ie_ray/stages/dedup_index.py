@@ -1,11 +1,14 @@
-"""Online exact-dedup via a sharded hash-index actor pool.
+"""Online exact-dedup via sharded hash-index actors.
 
 This mirrors the reference's dedup semantics directly: an INDEX probed per
 article (hash cache + S3 listing, ``aws/__init__.py:115-136``; T10/A5 in
 SURVEY.md) rather than a batch groupby.  N index actors each own a slice of
-the hash space and hold a set of seen hashes; the map stage splits each
-batch's hashes by shard, asks all owners concurrently, and keeps only rows
-whose hash is new.
+the hash space and map each seen hash to its owning url.  The probe,
+``DedupFilter``, is a plain callable that runs inside whatever task calls
+it (in the flagship, the fused page task): it splits a batch's hashes by
+shard, asks all owners concurrently, and keeps only the rows each owner
+confirms.  All state lives in the shards, so the probe holds no CPU of
+its own and a retried batch is harmless.
 
 Scale notes (100 TB): membership state shards linearly with the actor count
 (place them across nodes); at 10^12 pages a production deployment swaps the
@@ -17,7 +20,7 @@ surviving url) is deterministic.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import pyarrow as pa
 
@@ -51,26 +54,35 @@ def _make_shard_cls():
     return DedupShard
 
 
-def create_dedup_index(num_shards: int = 8):
-    """Spawn the shard actors; returns their handles (pass to DedupFilter)."""
+def create_dedup_index(num_shards: Optional[int] = None):
+    """Spawn the shard actors, by default one per 4 cluster CPUs (at
+    least one); returns their handles (pass to DedupFilter).
+
+    Each shard is a whole worker process (~120 MB RSS), and a consumed
+    Dataset's operator graph is cyclic, so its shards live on until
+    Python's cyclic GC frees the plan: on a small cluster, several
+    shards per run only add resident processes."""
+    import ray
+    if num_shards is None:
+        num_shards = max(1, int(ray.cluster_resources().get("CPU", 4)) // 4)
     cls = _make_shard_cls()
     return [cls.remote() for _ in range(num_shards)]
 
 
 class DedupFilter:
-    """map_batches callable: keep the owning row per ``key_col`` value."""
+    """Stateless ``map_batches`` callable (pass an instance, so it runs as
+    a task): keep the rows whose ``url`` owns their ``page_hash``.  The
+    first url to probe a hash becomes its owner; a re-executed batch
+    probes with the same urls and keeps exactly the same rows."""
 
-    def __init__(self, shards, key_col: str = "page_hash",
-                 owner_col: str = "url"):
+    def __init__(self, shards):
         self.shards = shards
-        self.key_col = key_col
-        self.owner_col = owner_col
         self.n = len(shards)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import ray
-        keys = batch.column(self.key_col).to_pylist()
-        owners = batch.column(self.owner_col).to_pylist()
+        keys = batch.column("page_hash").to_pylist()
+        owners = batch.column("url").to_pylist()
         by_shard: dict = {}
         for i, (k, o) in enumerate(zip(keys, owners)):
             by_shard.setdefault(int(k[:4], 16) % self.n, []).append((i, k, o))

@@ -10,10 +10,8 @@ All operate on ``batch_format="pyarrow"`` batches.  Parity: scrape S2
 from __future__ import annotations
 
 import hashlib
-from urllib.parse import urlparse
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..sources.html import extract_text
 
@@ -60,10 +58,6 @@ def add_page_hash(batch: pa.Table) -> pa.Table:
         h.update(text.encode("utf-8"))
         hashes.append(h.hexdigest())
     return batch.append_column("page_hash", pa.array(hashes, type=pa.string()))
-
-
-def _first_row(group: pa.Table) -> pa.Table:
-    return group.slice(0, 1)
 
 
 def exact_dedup(ds, key: str = "page_hash"):

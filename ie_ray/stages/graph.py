@@ -21,17 +21,9 @@ import json
 import os
 import re
 import time
-from typing import List, Optional
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-
-def _agg_count(group: pa.Table, keys: List[str]) -> pa.Table:
-    first = group.slice(0, 1)
-    cols = {k: first.column(k) for k in keys}
-    cols["n"] = pa.array([group.num_rows], type=pa.int64())
-    return pa.table(cols)
 
 
 def build_edges(triples_ds):
@@ -216,34 +208,6 @@ def manifest_path(out_dir: str, part: str) -> str:
 
 def partition_done(out_dir: str, part: str) -> bool:
     return os.path.exists(manifest_path(out_dir, part))
-
-
-def write_partition(table: pa.Table, out_dir: str, name: str, part: str,
-                    inputs: Optional[List[str]] = None):
-    """Atomically write one output partition + its lineage manifest."""
-    pdir = os.path.join(out_dir, name, "part=%s" % part)
-    os.makedirs(pdir, exist_ok=True)
-    tmp = os.path.join(pdir, "_tmp.parquet")
-    dst = os.path.join(pdir, "data.parquet")
-    pq.write_table(table, tmp)
-    os.replace(tmp, dst)
-    os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-    digest = hashlib.md5()
-    for col in sorted(table.column_names):
-        digest.update(str(table.column(col).to_pylist()).encode())
-    man = {
-        "partition": part,
-        "table": name,
-        "rows": table.num_rows,
-        "inputs": inputs or [],
-        "checksum": digest.hexdigest(),
-        "written_at": time.time(),
-    }
-    mtmp = manifest_path(out_dir, "%s-%s.tmp" % (name, part))
-    with open(mtmp, "w") as f:
-        json.dump(man, f)
-    os.replace(mtmp, manifest_path(out_dir, "%s-%s" % (name, part)))
-    return man
 
 
 def write_graph(nodes_ds, edges_ds, out_dir: str, num_parts: int = 8):

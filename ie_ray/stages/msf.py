@@ -58,7 +58,6 @@ def minimum_spanning_forest(edges, rounds: int = 20):
     The forest has one row per chosen edge (each exactly once,
     w1 < w2 preserved from the input contract)."""
     import polars as pl
-    import pyarrow.compute as pc
 
     from ie_ray.stages.link import connected_components
     from ie_ray.stages.relational import (adaptive_join,

@@ -18,6 +18,13 @@ materializes a schema-less block and Arrow's join then fails on the key
 FieldRef (the same pitfall documented there), so gate-scale runs keep
 the partition count small; production callers size it to data volume.
 
+The input edges are materialized once on entry.  Each variant reads them
+for the node set (a union of both endpoint columns: two reads in one
+plan), the out-degree and the edge table, and a lazy input re-runs its
+whole lineage on every read.  With ``kg_edges`` as input, the union alone
+ran two copies of the flagship's actor pool at once; at 2 CPUs they held
+every CPU and the run never finished.
+
 Dangling nodes (no outgoing edges) redistribute their mass uniformly,
 the textbook formulation:
 
@@ -47,6 +54,7 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85,
     """edges: Dataset with string columns subj_id, obj_id (one row per
     edge; extra columns ignored).  Returns a Dataset (node, rank)."""
     parts = _join_partitions(num_partitions)
+    edges = edges.materialize()
 
     def side(col):
         return (edges.select_columns([col])
@@ -123,6 +131,7 @@ def pagerank_weighted(edges, iters: int = 10, damping: float = 0.85,
     loop shape as :func:`pagerank` (one join + one groupby per round);
     the input stays at O(|distinct edges|), never per-link rows."""
     parts = _join_partitions(num_partitions)
+    edges = edges.materialize()
 
     def side(col):
         return (edges.select_columns([col])
@@ -241,6 +250,7 @@ def pagerank_personalized(edges, seeds, iters: int = 10,
     import ray as _ray
 
     parts = _join_partitions(num_partitions)
+    edges = edges.materialize()
     seed_ids = sorted(set(seeds))
     seed_arr = pa.array(seed_ids, type=pa.string())
     k = len(seed_arr)

@@ -32,8 +32,7 @@ class ReplayParserActor:
     node in shared memory, not one per task.
     """
 
-    def __init__(self, derivations, heuristic_fallback: bool = True,
-                 cky_fallback: bool = True):
+    def __init__(self, derivations, heuristic_fallback: bool = True):
         import ray
         if isinstance(derivations, ray.ObjectRef):
             derivations = ray.get(derivations)
@@ -44,10 +43,8 @@ class ReplayParserActor:
             self.fallback = synthesize_derivation
         # the real parser (supertagger + CKY, ie_ray/ccg/parser.py) — built
         # once per actor; covers arbitrary text beyond the replay corpus
-        self.cky = None
-        if cky_fallback:
-            from ..ccg.parser import CkyParser
-            self.cky = CkyParser()
+        from ..ccg.parser import CkyParser
+        self.cky = CkyParser()
 
     def _parse_one(self, s: str, key: str) -> str:
         d = self.derivations.get(key)
@@ -55,7 +52,7 @@ class ReplayParserActor:
             return d
         if self.fallback is not None:
             d = self.fallback(s)
-        if d is None and self.cky is not None:
+        if d is None:
             try:
                 d = self.cky.parse(s)
             except Exception:

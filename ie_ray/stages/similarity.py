@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pyarrow as pa
 
@@ -254,26 +252,6 @@ def knn_ivf(ds, queries, query_ids, k: int = 5, n_centroids: int = 16,
         return t.slice(0, k)
 
     return cand.groupby("query_id").map_groups(topk, batch_format="pyarrow")
-
-
-class SimPairsActor:
-    """All-pairs cosine ≥ τ against a broadcast corpus matrix.
-
-    Exact (no LSH recall loss) — the verification-grade variant of
-    ``dedup.embedding_dup_pairs``; the broadcast side must fit in worker
-    memory, so at 100 TB scale use the LSH-bucketed operator instead.
-    """
-
-    def __init__(self, corpus, corpus_ids, threshold: float):
-        import ray
-        if isinstance(corpus, ray.ObjectRef):
-            corpus = ray.get(corpus)
-        self.m = _normalize(np.asarray(corpus, dtype=np.float64))
-        self.ids = np.asarray(list(corpus_ids), dtype=np.int64)
-        self.threshold = threshold
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _sim_pairs_kernel(batch, self.m, self.ids, self.threshold)
 
 
 def _sim_pairs_kernel(batch: pa.Table, m: np.ndarray, ids: np.ndarray,

@@ -31,7 +31,6 @@ Usage: python scripts/train_supertagger.py
 from __future__ import annotations
 
 import os
-import re
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

@@ -1,6 +1,10 @@
 """Distributed PageRank matches its NumPy twin on a planted graph and
 on the real KG edge set."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -94,3 +98,21 @@ def test_personalized_pagerank_rejects_missing_seed(ray_session):
         pagerank_personalized(edges, ["a", "ghost"], iters=2)
     with pytest.raises(ValueError, match="absent"):
         pagerank_personalized_reference(["a"], ["b"], ["ghost"])
+
+
+def test_kg_pagerank_finishes_at_two_cpus():
+    """pagerank reads its edges several times, two of them in one union
+    plan; unless they are materialized once, two copies of the flagship's
+    actor pool run at once and a 2-CPU session never finishes."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = ("import ray\n"
+              "ray.init(address='local', num_cpus=2, "
+              "include_dashboard=False)\n"
+              "import __ray_entry__ as e\n"
+              "ds = e.queries()['kg_pagerank']('/root/testdata/sf0.001')\n"
+              "print(ds.count())\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, cwd=repo,
+                          timeout=240)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout.split()[-1]) > 0

@@ -95,22 +95,32 @@ def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path):
 
 
 def test_pool_sizes_rule():
-    """One whole CPU always stays free for the task operators: with both
-    actor pools at their minimum size on any cluster, and at their
-    maximum size from 3 CPUs up.  Sizing at 2 CPUs (the benchmark's) and
-    at 4 CPUs (this suite's session) is pinned."""
+    """One whole CPU always stays free for the task operators, with the
+    one actor pool at its maximum size on any cluster.  Sizing at 2 CPUs
+    (the benchmark's) and at 4 CPUs (this suite's session) is pinned."""
     from ie_ray.pipelines.kg import _pool_sizes
     for ncpu in range(1, 65):
-        actor_cpus, dedup_cpus, (lo, hi), fused_cap = _pool_sizes(ncpu)
-        assert ncpu - lo * (actor_cpus + dedup_cpus) >= 1, ncpu
-        if ncpu >= 3:
-            assert ncpu - hi * dedup_cpus - fused_cap * actor_cpus >= 1, ncpu
-        assert 1 <= lo <= hi <= fused_cap, ncpu
+        actor_cpus, (lo, hi) = _pool_sizes(ncpu)
+        assert ncpu - hi * actor_cpus >= 1, ncpu
+        assert 1 <= lo <= hi, ncpu
         if ncpu >= 6:
             assert actor_cpus == 1, ncpu
-    assert _pool_sizes(1)[:2] == (0, 0)
-    assert _pool_sizes(2) == (0.5, 0.5, (1, 2), 2)
-    assert _pool_sizes(4) == (0.5, 0.5, (1, 2), 3)
+    assert _pool_sizes(1)[0] == 0
+    assert _pool_sizes(2) == (0.5, (1, 2))
+    assert _pool_sizes(4) == (0.5, (1, 3))
+
+
+def test_kg_triples_plan_has_one_actor_pool(ray_session, fixture_dir):
+    """The consumed flagship plan is three physical operators: the read,
+    ONE fused task operator running every page stage through the dedup
+    probe and segmentation, and the parse/compose/link actor pool."""
+    from ie_ray.pipelines.kg import kg_triples
+    stats = kg_triples(fixture_dir).materialize().stats()
+    ops = [line for line in stats.splitlines()
+           if line.startswith("Operator ")]
+    assert len(ops) == 3, stats
+    assert "MapBatches(DedupFilter)->MapBatches(segment_batch)" in ops[1], ops
+    assert "ParseComposeActor" in ops[2], ops
 
 
 def _sorted_rows(parquet_dir):
