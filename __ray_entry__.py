@@ -941,10 +941,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     icept.append(None)
                 else:
                     s = cxy / m2x
-                    slope.append(round(s, 4))
-                    icept.append(round(my - s * mx, 4))
+                    slope.append(_r4(s))
+                    icept.append(_r4(my - s * mx))
                 r2.append(None if m2x == 0.0 or m2y == 0.0
-                          else round(cxy ** 2 / (m2x * m2y), 4))
+                          else _r4(cxy ** 2 / (m2x * m2y)))
             return pa.table({
                 "event_type": pa.array(types, type=pa.string()),
                 "slope_per_day": pa.array(slope, type=pa.float64()),
@@ -2672,9 +2672,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def kg_canonical_edges(sf_dir):
         """Full canonicalization path: triples → _AKA alias edges →
-        distributed connected components (join-based label propagation) →
-        canonical-id relabel via hash join — the component labels never
-        leave the cluster (no driver-side O(nodes) map)."""
+        distributed connected components (each block contracted, then
+        labelled in one task) → canonical-id relabel via hash join — the
+        component labels never leave the cluster (no driver-side
+        O(nodes) map)."""
         from ie_ray.stages.link import (alias_edges_from_triples,
                                         canonicalize_ids_ds,
                                         connected_components)
@@ -3425,7 +3426,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         — the strongest-links skeleton (max ≡ min on negated weights):
         distributed Borůvka (stages/msf.py) where every round is
         Dataset joins + bucketed argmins and merges run through the
-        existing hash-min connected components; no driver-side graph.
+        existing two-pass connected components; no driver-side graph.
         Iterative — no SQL oracle; exact Kruskal twin in
         tests/test_msf.py."""
         import pyarrow.compute as pc

@@ -11,7 +11,7 @@ streaming Ray Data pipelines over Arrow batches:
       → parse               (actor pool: sentence → CCG derivation)
       → compose             (actor pool: derivation → DRS conditions → triples)
       → entity link         (broadcast alias join)
-      → canonicalize        (MinHash-LSH blocking + hash-min union-find)
+      → canonicalize        (two-pass alias components + join relabel)
       → graph materialize   (nodes/edges parquet + per-partition manifests)
 
 Everything here is a fresh implementation; reference files are cited in

@@ -2,13 +2,14 @@
 
 Usage::
 
-    python -m ie_ray run  [--pages DIR] [--out DIR] [--no-canonicalize]
-    python -m ie_ray bench [--scaling]
+    python -m ie_ray run  [--fixture-dir DIR | --n-pages N] [--out DIR]
+    python -m ie_ray bench
 
 ``run`` executes the full flagship pipeline (pages → triples → canonical
 graph parquet + manifests) and prints a one-line JSON summary.  With no
-``--pages`` it synthesizes the deterministic fixture table first.  On a
-cluster: ``ray job submit --working-dir . -- python -m ie_ray run ...``.
+``--fixture-dir`` it synthesizes the deterministic fixture tables of
+``--n-pages`` pages first.  On a cluster:
+``ray job submit --working-dir . -- python -m ie_ray run ...``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ def main(argv=None):
     runp.add_argument("--n-pages", type=int, default=2000,
                       help="fixture size when --fixture-dir is not given")
     runp.add_argument("--out", default="/tmp/ie_ray_out")
-    runp.add_argument("--no-canonicalize", action="store_true")
     sub.add_parser("bench", help="see bench.py at the repo root")
     args = p.parse_args(argv)
     if args.cmd == "bench":
@@ -48,8 +48,7 @@ def main(argv=None):
 
     t0 = time.time()
     fixture_dir = args.fixture_dir or default_fixture_dir(n_pages=args.n_pages)
-    res = kg_full(fixture_dir, out_dir=args.out,
-                  canonicalize=not args.no_canonicalize)
+    res = kg_full(fixture_dir, out_dir=args.out)
     res["wall_s"] = round(time.time() - t0, 2)
     print(json.dumps(res))
     ray.shutdown()

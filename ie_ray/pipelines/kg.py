@@ -190,47 +190,56 @@ def kg_resumable(fixture_dir: Optional[str] = None,
     # flagship.  On resume, the index is re-SEEDED from the completed
     # shards' input files (``_new_pages`` only — the expensive
     # parse/compose work still skips), so remaining shards see the same
-    # membership a crash-free run would have.
+    # membership a crash-free run would have.  The index is killed once
+    # every shard has landed (or the run fails), not left to the cyclic
+    # GC of the consumed plans.
     dedup_shards = create_dedup_index()
-    done_files = [files for k, files in enumerate(shards)
-                  if partition_done(out_dir, "triples-shard%03d" % k)]
-    if done_files:
-        seed = ray.data.read_parquet(
-            [f for fl in done_files for f in fl],
-            columns=["url", "html", "lang"])
-        # consume for the insert side effect; only counts reach the driver
-        _new_pages(seed, dedup_shards).count()
+    try:
+        done_files = [files for k, files in enumerate(shards)
+                      if partition_done(out_dir, "triples-shard%03d" % k)]
+        if done_files:
+            seed = ray.data.read_parquet(
+                [f for fl in done_files for f in fl],
+                columns=["url", "html", "lang"])
+            # consume for the insert side effect; only counts reach the
+            # driver
+            _new_pages(seed, dedup_shards).count()
 
-    completed_now, skipped = 0, 0
-    for k, files in enumerate(shards):
-        part = "triples-shard%03d" % k
-        final_dir = os.path.join(out_dir, "triples", "shard=%03d" % k)
-        if partition_done(out_dir, part):
-            skipped += 1
-            continue
-        tmp_dir = final_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        shutil.rmtree(final_dir, ignore_errors=True)
-        os.makedirs(tmp_dir, exist_ok=True)
-        pages = ray.data.read_parquet(files, columns=["url", "html", "lang"])
-        triples = kg_triples(fixture_dir, pages_ds=pages,
-                             dedup_shards=dedup_shards)
-        triples.write_parquet(tmp_dir)
-        os.rename(tmp_dir, final_dir)
-        rows = sum(pq.ParquetFile(os.path.join(final_dir, f)).metadata.num_rows
-                   for f in os.listdir(final_dir) if f.endswith(".parquet"))
-        import json as _json
-        import time as _time
-        man = {"partition": part, "table": "triples", "rows": rows,
-               "inputs": files, "written_at": _time.time()}
-        mp = manifest_path(out_dir, part)
-        with open(mp + ".tmp", "w") as f:
-            _json.dump(man, f)
-        os.replace(mp + ".tmp", mp)
-        completed_now += 1
-        if _fail_after is not None and completed_now >= _fail_after:
-            raise RuntimeError("simulated crash after %d shards"
-                               % completed_now)
+        completed_now, skipped = 0, 0
+        for k, files in enumerate(shards):
+            part = "triples-shard%03d" % k
+            final_dir = os.path.join(out_dir, "triples", "shard=%03d" % k)
+            if partition_done(out_dir, part):
+                skipped += 1
+                continue
+            tmp_dir = final_dir + ".tmp"
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            shutil.rmtree(final_dir, ignore_errors=True)
+            os.makedirs(tmp_dir, exist_ok=True)
+            pages = ray.data.read_parquet(files,
+                                          columns=["url", "html", "lang"])
+            triples = kg_triples(fixture_dir, pages_ds=pages,
+                                 dedup_shards=dedup_shards)
+            triples.write_parquet(tmp_dir)
+            os.rename(tmp_dir, final_dir)
+            rows = sum(
+                pq.ParquetFile(os.path.join(final_dir, f)).metadata.num_rows
+                for f in os.listdir(final_dir) if f.endswith(".parquet"))
+            import json as _json
+            import time as _time
+            man = {"partition": part, "table": "triples", "rows": rows,
+                   "inputs": files, "written_at": _time.time()}
+            mp = manifest_path(out_dir, part)
+            with open(mp + ".tmp", "w") as f:
+                _json.dump(man, f)
+            os.replace(mp + ".tmp", mp)
+            completed_now += 1
+            if _fail_after is not None and completed_now >= _fail_after:
+                raise RuntimeError("simulated crash after %d shards"
+                                   % completed_now)
+    finally:
+        for shard in dedup_shards:
+            ray.kill(shard)
 
     # final aggregation over all landed triples (cheap relative to compose)
     triples = ray.data.read_parquet(os.path.join(out_dir, "triples"))
@@ -249,8 +258,8 @@ def kg_resumable(fixture_dir: Optional[str] = None,
     }
 
 
-def kg_full(fixture_dir: Optional[str] = None, out_dir: str = "/tmp/ie_ray_out",
-            canonicalize: bool = True) -> dict:
+def kg_full(fixture_dir: Optional[str] = None,
+            out_dir: str = "/tmp/ie_ray_out") -> dict:
     """Full run: triples → canonicalize → nodes/edges → partitioned parquet
     + manifests.  Returns summary counts (small driver-side values only)."""
     from ..stages.graph import build_edges, build_nodes, write_graph
@@ -261,13 +270,21 @@ def kg_full(fixture_dir: Optional[str] = None, out_dir: str = "/tmp/ie_ray_out",
     # ways (quarantine sink, nodes, edges) and re-running the whole page
     # pipeline per consumer would triple the work.  Triples are ~100× smaller
     # than the page input, so this is a deliberate small-side checkpoint,
-    # not a full-input materialization.
-    triples = kg_triples(fixture_dir).materialize()
-    if canonicalize:
-        # labels stay a Dataset end-to-end: CC by join-based label
-        # propagation, relabel by hash join — nothing O(nodes) on the driver
-        labels = connected_components(alias_edges_from_triples(triples))
-        triples = canonicalize_ids_ds(triples, labels).materialize()
+    # not a full-input materialization.  Nothing re-reads the pages after
+    # it, so the run's dedup shards are killed there, not left to the
+    # cyclic GC of the consumed plan.
+    dedup_shards = create_dedup_index()
+    try:
+        triples = kg_triples(fixture_dir,
+                             dedup_shards=dedup_shards).materialize()
+    finally:
+        for shard in dedup_shards:
+            ray.kill(shard)
+    # labels stay a Dataset end-to-end: CC in two passes (contract each
+    # block, label in one task), relabel by hash join — nothing O(nodes)
+    # on the driver
+    labels = connected_components(alias_edges_from_triples(triples))
+    triples = canonicalize_ids_ds(triples, labels).materialize()
     # quarantine rows flow to their own sink; good rows to the graph
     good = triples.filter(expr="kind != 'quarantine' and kind != 'empty'")
     quarantine = triples.filter(expr="kind == 'quarantine'")

@@ -10,7 +10,7 @@ primitives this repo already has:
 * "cheapest outgoing edge per component" is one EXPLODE (each
   cross-edge charged to both endpoint components) + the bucketed
   per-key argmin (rows-sized component domain);
-* "merge components" is the existing hash-min
+* "merge components" is the existing two-pass
   :func:`ie_ray.stages.link.connected_components` run on the SELECTED
   edge set (≤ one edge per component), composed back onto the full
   label table with one hash join per round.

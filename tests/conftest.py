@@ -10,3 +10,19 @@ def ray_session():
                  ignore_reinit_error=True)
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def dedup_shards_made(monkeypatch):
+    """Every dedup shard the KG pipelines create while the test runs."""
+    import ie_ray.pipelines.kg as kg
+    made, create = [], kg.create_dedup_index
+
+    def spy(*args, **kwargs):
+        shards = create(*args, **kwargs)
+        made.extend(shards)
+        return shards
+
+    monkeypatch.setattr(kg, "create_dedup_index", spy)
+    return made
+

@@ -19,24 +19,27 @@ def test_connected_components(ray_session):
 
 
 def test_cc_long_path_converges(ray_session):
-    """A 30-node path whose minimum id sits at one end needs one round
-    per hop; the loop must run until the labels stop changing."""
+    """A 1,000-node path spread over several blocks is one component,
+    labelled by its least id, whichever way the ids run along it."""
+    import random
+
     import ray.data
     from ie_ray.stages.link import connected_components
-    nodes = ["n%02d" % i for i in range(30)]
-    edges = ray.data.from_arrow(pa.table({
-        "a": pa.array(nodes[:-1], type=pa.string()),
-        "b": pa.array(nodes[1:], type=pa.string()),
-    }))
-    comp = {r["node"]: r["component"]
-            for r in connected_components(edges).take_all()}
-    assert comp == dict.fromkeys(nodes, "n00")
+    nodes = ["n%04d" % i for i in range(1000)]
+    shuffled = random.Random(7).sample(nodes, len(nodes))
+    for order in (nodes, nodes[::-1], shuffled):
+        edges = ray.data.from_arrow(pa.table({
+            "a": pa.array(order[:-1], type=pa.string()),
+            "b": pa.array(order[1:], type=pa.string()),
+        })).repartition(4)
+        comp = {r["node"]: r["component"]
+                for r in connected_components(edges).take_all()}
+        assert comp == dict.fromkeys(nodes, "n0000")
 
 
 def test_cc_hub_component(ray_session):
-    """A star graph (hub with many leaves) — the shape that round-1's
-    per-node map_groups push serialized into one Python task — must
-    converge to the hub component under the join-based propagation."""
+    """A star graph (hub with many leaves) is one component, labelled
+    by the hub."""
     import ray.data
     from ie_ray.stages.link import connected_components
     leaves = ["leaf%03d" % i for i in range(200)]
@@ -111,49 +114,8 @@ def test_canonicalize_pipeline(ray_session, tmp_path):
             assert r["subj_id"] == r["obj_id"], r
 
 
-def test_cc_planted_hub_salting(ray_session):
-    """Planted hub: one node with degree >> block size must (a) split so
-    no propagation group exceeds ~hub_degree rows and (b) converge to
-    exactly the labels a driver-side union-find computes, with no
-    sub-node ids leaking into the output."""
-    import numpy as np
-    import ray.data
-    from ie_ray.stages.link import (_SUB_PREFIX, _salt_hubs,
-                                    connected_components)
-
-    hub_degree = 32
-    n_leaves = 500
-    leaves = ["leaf%04d" % i for i in range(n_leaves)]
-    # hub star + a chain hanging off leaf0 + a separate component
-    a = ["hub"] * n_leaves + ["leaf0000", "chain1", "p"]
-    b = leaves + ["chain1", "chain2", "q"]
-    edges = ray.data.from_arrow(pa.table({
-        "a": pa.array(a, type=pa.string()),
-        "b": pa.array(b, type=pa.string()),
-    })).repartition(8)
-
-    # (a) group-size bound after salting
-    def explode(batch):
-        aa = batch.column("a").to_pylist()
-        bb = batch.column("b").to_pylist()
-        return pa.table({"node": pa.array(aa + bb, type=pa.string()),
-                         "peer": pa.array(bb + aa, type=pa.string())})
-    adj = edges.map_batches(explode, batch_format="pyarrow").materialize()
-    salted, n_hubs = _salt_hubs(adj, hub_degree)
-    assert n_hubs == 1
-    counts = {r["node"]: r["count()"]
-              for r in salted.groupby("node").count().take_all()}
-    k = -(-(n_leaves) // hub_degree)  # hub adjacency rows -> k sub-nodes
-    assert max(counts.values()) <= hub_degree + 2, max(counts.items(),
-                                                       key=lambda x: x[1])
-    assert counts["hub"] <= k + 2  # chain rows only (plus chain/extra)
-    subs = [n for n in counts if n.startswith(_SUB_PREFIX)]
-    assert len(subs) == k
-
-    # (b) labels identical to a union-find twin, no sub-nodes in output
-    comp = {r["node"]: r["component"]
-            for r in connected_components(edges,
-                                          hub_degree=hub_degree).take_all()}
+def _union_find_labels(a, b):
+    """node → least id of its component, by a driver-side union-find."""
     parent = {}
 
     def find(x):
@@ -167,15 +129,50 @@ def test_cc_planted_hub_salting(ray_session):
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
-    want = {}
-    for node in set(a) | set(b):
-        root = find(node)
-        # component id = min node id in component
-        want.setdefault(root, []).append(node)
-    want_label = {}
-    for root, members in want.items():
-        m = min(members)
-        for node in members:
-            want_label[node] = m
-    assert not any(n.startswith(_SUB_PREFIX) for n in comp)
-    assert comp == want_label
+    return {node: find(node) for node in set(a) | set(b)}
+
+
+def test_cc_matches_union_find(ray_session):
+    """Labels equal a union-find twin's on (1) a planted hub with a chain
+    hanging off one leaf plus a separate pair, and (2) a seeded random
+    graph over eight blocks, whose components span blocks."""
+    import numpy as np
+    import ray.data
+    from ie_ray.stages.link import connected_components
+
+    leaves = ["leaf%04d" % i for i in range(500)]
+    hub = (["hub"] * 500 + ["leaf0000", "chain1", "p"],
+           leaves + ["chain1", "chain2", "q"])
+    rng = np.random.default_rng(11)
+    ids = ["v%05d" % i for i in range(3000)]
+    ends = rng.integers(0, len(ids), size=(2, 2500))
+    rand = ([ids[i] for i in ends[0]], [ids[i] for i in ends[1]])
+    for a, b in (hub, rand):
+        edges = ray.data.from_arrow(pa.table({
+            "a": pa.array(a, type=pa.string()),
+            "b": pa.array(b, type=pa.string()),
+        })).repartition(8)
+        comp = {r["node"]: r["component"]
+                for r in connected_components(edges).take_all()}
+        assert comp == _union_find_labels(a, b)
+
+
+def test_canonicalize_without_alias_edges(ray_session):
+    """No alias edges → an empty label set, which relabels nothing."""
+    import ray.data
+    from ie_ray.stages.link import (alias_edges_from_triples,
+                                    canonicalize_ids_ds,
+                                    connected_components)
+    t = pa.table({
+        "subj": pa.array(["A", "C"], type=pa.string()),
+        "pred": pa.array(["sees", "sees"], type=pa.string()),
+        "obj": pa.array(["B", "D"], type=pa.string()),
+        "kind": pa.array(["arg", "arg"], type=pa.string()),
+        "subj_id": pa.array(["e:a", "e:c"], type=pa.string()),
+        "obj_id": pa.array(["e:b", "e:d"], type=pa.string()),
+    })
+    triples = ray.data.from_arrow(t)
+    labels = connected_components(alias_edges_from_triples(triples))
+    out = canonicalize_ids_ds(triples, labels).take_all()
+    assert sorted(tuple(r.values()) for r in out) == \
+        sorted(zip(*(t.column(c).to_pylist() for c in t.column_names)))

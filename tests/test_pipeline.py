@@ -78,7 +78,9 @@ def test_quarantine_rows_present(ray_session, fixture_dir):
     assert any(e == "too_long" for e in errs)
 
 
-def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path):
+def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path,
+                                dedup_shards_made):
+    import ray
     from ie_ray.pipelines.kg import kg_full
     out = str(tmp_path / "graph")
     res = kg_full(fixture_dir, out_dir=out)
@@ -92,6 +94,11 @@ def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path):
     # resume: a second run must not duplicate output
     res2 = kg_full(fixture_dir, out_dir=out)
     assert res2["nodes"] == res["nodes"] and res2["edges"] == res["edges"]
+    # each run killed its own dedup shards on return
+    assert len(dedup_shards_made) >= 2
+    for shard in dedup_shards_made:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(shard.size.remote(), timeout=60)
 
 
 def test_pool_sizes_rule():

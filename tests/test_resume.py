@@ -24,7 +24,8 @@ def _triple_multiset(out_dir):
     return sorted(zip(*(t.column(c).to_pylist() for c in t.column_names)))
 
 
-def test_pages_level_resume(ray_session, tmp_path):
+def test_pages_level_resume(ray_session, tmp_path, dedup_shards_made):
+    import ray
     from ie_ray.pipelines.kg import kg_resumable
     from ie_ray.sources.pages import write_fixture_tables
     d = str(tmp_path / "fx")
@@ -53,3 +54,8 @@ def test_pages_level_resume(ray_session, tmp_path):
     assert res2["shards_skipped"] == 0
     assert _triple_multiset(out) == _triple_multiset(out2)
     assert res["edges"] == res2["edges"] and res["nodes"] == res2["nodes"]
+    # every run, the crashed one too, killed its dedup shards on return
+    assert len(dedup_shards_made) >= 3
+    for shard in dedup_shards_made:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(shard.size.remote(), timeout=60)
