@@ -225,45 +225,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (numeric-min doc_id) per duplicate cluster, plus all untouched docs.
         This is the keep-list a training-data pipeline actually consumes.
 
-        Fully distributed: the component labels stay a Dataset and the
-        keep-list is a left-outer hash join (anti-join) — no O(nodes)
-        driver-side map (the round-1 take_all() anti-pattern is gone)."""
-        from ie_ray.stages.link import connected_components
+        Fully distributed: the component labels stay in the cluster and
+        every doc batch probes them by broadcast — no O(nodes) driver-side
+        map and no join after connected components."""
         docs = _docs(sf_dir)
-        pairs = dedup.ngram_jaccard_pairs(docs)
-
-        def as_edges(b: pa.Table) -> pa.Table:
-            # zero-pad so lexicographic min == numeric min inside CC
-            return pa.table({
-                "a": pa.array(["%020d" % x
-                               for x in b.column("doc_a").to_pylist()],
-                              type=pa.string()),
-                "b": pa.array(["%020d" % x
-                               for x in b.column("doc_b").to_pylist()],
-                              type=pa.string())})
-
-        labels = connected_components(
-            pairs.map_batches(as_edges, batch_format="pyarrow"))
-
-        def dup_rows(b: pa.Table) -> pa.Table:
-            out = [int(n) for n, c in zip(b.column("node").to_pylist(),
-                                          b.column("component").to_pylist())
-                   if n != c]
-            return pa.table({
-                "dup_id": pa.array(out, type=pa.int64()),
-                "is_dup": pa.array([1] * len(out), type=pa.int64())})
-
-        dups = labels.map_batches(dup_rows, batch_format="pyarrow")
-        joined = docs.select_columns(["doc_id"]).join(
-            dups, "left_outer", num_partitions=dedup._join_partitions(),
-            on=("doc_id",), right_on=("dup_id",))
-
-        def keep_batch(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            mask = pc.is_null(b.column("is_dup"))
-            return pa.table({"doc_id": b.filter(mask).column("doc_id")})
-
-        return joined.map_batches(keep_batch, batch_format="pyarrow")
+        return dedup.cluster_keepers(docs, dedup.ngram_jaccard_pairs(docs),
+                                     "doc_id", "doc_a", "doc_b")
 
     def quality_filter_docs(sf_dir):
         """Keep-list from quality signals (≥10 tokens, ≥1 stopword) —
@@ -2673,16 +2640,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def kg_canonical_edges(sf_dir):
         """Full canonicalization path: triples → _AKA alias edges →
         distributed connected components (each block contracted, then
-        labelled in one task) → canonical-id relabel via hash join — the
-        component labels never leave the cluster (no driver-side
-        O(nodes) map)."""
+        labelled in one task) → canonical-id relabel, every triple batch
+        probing the one-block label table by broadcast — the component
+        labels never pass through the driver."""
         from ie_ray.stages.link import (alias_edges_from_triples,
                                         canonicalize_ids_ds,
                                         connected_components)
         fd = default_fixture_dir(n_pages=_sf_pages(sf_dir))
         triples = kg_triples(fd).materialize()
         labels = connected_components(alias_edges_from_triples(triples))
-        canon = canonicalize_ids_ds(triples, labels)
+        canon = canonicalize_ids_ds(triples, labels, ("subj_id", "obj_id"))
         good = canon.filter(expr="kind != 'quarantine' and kind != 'empty'")
         return build_edges(good)
 
@@ -3795,50 +3762,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         training-data pipeline actually consumes: image (pHash) and
         audio (afp64) near-dup pairs union into ONE duplicate graph →
         distributed connected components → one canonical keeper
-        (numeric-min media_id) per cluster plus every untouched item;
-        the keep-list is an anti-join, mirroring minhash_dedup_keep's
-        text flow.  Rows-only; pytest gates it against a driver-side
+        (numeric-min media_id) per cluster plus every untouched item,
+        by the same broadcast relabel as minhash_dedup_keep's text
+        flow.  Rows-only; pytest gates it against a driver-side
         union-find twin over the brute-force pair sets
         (tests/test_audiofp.py)."""
-        from ie_ray.stages import dedup
-        from ie_ray.stages.link import connected_components
         from ie_ray.stages.multimodal import (audio_fp_pairs, phash_pairs,
                                               synthesize_media_with_neardups)
-        tbl = synthesize_media_with_neardups(64)
-        media = ray.data.from_arrow(tbl)
+        media = ray.data.from_arrow(synthesize_media_with_neardups(64))
         pairs = phash_pairs(media).union(audio_fp_pairs(media))
-
-        def as_edges(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "a": pa.array(["%020d" % x
-                               for x in b.column("media_a").to_pylist()],
-                              type=pa.string()),
-                "b": pa.array(["%020d" % x
-                               for x in b.column("media_b").to_pylist()],
-                              type=pa.string())})
-
-        labels = connected_components(
-            pairs.map_batches(as_edges, batch_format="pyarrow"))
-
-        def dup_rows(b: pa.Table) -> pa.Table:
-            out = [int(n) for n, c in zip(b.column("node").to_pylist(),
-                                          b.column("component").to_pylist())
-                   if n != c]
-            return pa.table({
-                "dup_id": pa.array(out, type=pa.int64()),
-                "is_dup": pa.array([1] * len(out), type=pa.int64())})
-
-        dups = labels.map_batches(dup_rows, batch_format="pyarrow")
-        joined = media.select_columns(["media_id"]).join(
-            dups, "left_outer", num_partitions=dedup._join_partitions(),
-            on=("media_id",), right_on=("dup_id",))
-
-        def keep_batch(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            mask = pc.is_null(b.column("is_dup"))
-            return pa.table({"media_id": b.filter(mask).column("media_id")})
-
-        return joined.map_batches(keep_batch, batch_format="pyarrow")
+        return dedup.cluster_keepers(media, pairs, "media_id",
+                                     "media_a", "media_b")
 
     def docs_quality_classifier(sf_dir):
         """Model-BASED quality filtering (the fastText-style classifier
@@ -5750,22 +5684,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         verified pair edges → distributed connected components → component
         sizes → (cluster_size, n_clusters).  All groupbys are
         cluster-bounded."""
-        from ie_ray.stages.link import connected_components
-
-        pairs = dedup.ngram_jaccard_pairs(_docs(sf_dir))
-
-        def as_edges(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "a": pa.array(["%020d" % x
-                               for x in b.column("doc_a").to_pylist()],
-                              type=pa.string()),
-                "b": pa.array(["%020d" % x
-                               for x in b.column("doc_b").to_pylist()],
-                              type=pa.string())})
-
         from ie_ray.stages.relational import bucketed_aggregate
-        labels = connected_components(
-            pairs.map_batches(as_edges, batch_format="pyarrow"))
+        labels = dedup.dup_clusters(dedup.ngram_jaccard_pairs(_docs(sf_dir)),
+                                    "doc_a", "doc_b")
         # component is a rows-sized key domain at web scale (one per dup
         # cluster) — count through the bucketed path
         sizes = bucketed_aggregate(labels, "component",
@@ -7207,10 +7128,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         fixture exercises transitivity.  Everything after the word
         count is vocabulary-bounded.  Exact recursive-CTE DuckDB
         oracle."""
-        import numpy as np
         import pyarrow.compute as pc
-        from ie_ray.stages import dedup
-        from ie_ray.stages.link import connected_components
+        from ie_ray.stages.link import (canonicalize_ids_ds,
+                                        connected_components)
         from ie_ray.stages.strsim import edit_pairs
         ds = _docs(sf_dir)
         vocab = (ds.map_batches(_word_count_partial,
@@ -7230,17 +7150,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda t: pa.table({"a": t.column("w1"),
                                 "b": t.column("w2")}),
             batch_format="pyarrow")
-        labels = connected_components(edges)
-        joined = vocab.join(labels, "left_outer",
-                            num_partitions=dedup._join_partitions(),
-                            on=("word",), right_on=("node",))
-
-        def fill(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "word": t.column("word"),
-                "n": t.column("n"),
-                "comp": pc.coalesce(t.column("component"),
-                                    t.column("word"))})
+        comp = canonicalize_ids_ds(
+            vocab.map_batches(
+                lambda t: t.append_column("comp", t.column("word")),
+                batch_format="pyarrow"),
+            connected_components(edges), ("comp",))
 
         def pick(g: pa.Table) -> pa.Table:
             order = pc.sort_indices(g, sort_keys=[
@@ -7251,8 +7165,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "canonical": pa.array([canonical] * g.num_rows,
                                       type=pa.string())})
 
-        return joined.map_batches(fill, batch_format="pyarrow") \
-            .groupby("comp").map_groups(pick, batch_format="pyarrow")
+        return comp.groupby("comp").map_groups(pick, batch_format="pyarrow")
 
     def word_clustering_coeff(sf_dir):
         """Per-node local clustering coefficient of the df≥60

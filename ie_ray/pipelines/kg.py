@@ -280,11 +280,12 @@ def kg_full(fixture_dir: Optional[str] = None,
     finally:
         for shard in dedup_shards:
             ray.kill(shard)
-    # labels stay a Dataset end-to-end: CC in two passes (contract each
-    # block, label in one task), relabel by hash join — nothing O(nodes)
-    # on the driver
+    # labels stay in the cluster: CC in two passes (contract each block,
+    # label in one task), then every triple batch probes the one-block
+    # label table by broadcast — nothing O(nodes) on the driver
     labels = connected_components(alias_edges_from_triples(triples))
-    triples = canonicalize_ids_ds(triples, labels).materialize()
+    triples = canonicalize_ids_ds(triples, labels,
+                                  ("subj_id", "obj_id")).materialize()
     # quarantine rows flow to their own sink; good rows to the graph
     good = triples.filter(expr="kind != 'quarantine' and kind != 'empty'")
     quarantine = triples.filter(expr="kind == 'quarantine'")

@@ -7,6 +7,8 @@ All operate over a documents Dataset ``(doc_id:int64, text:string, ...)``:
 * ``simhash_pairs``      — 64-bit simhash, near-dup via hamming ≤ k
 * ``ngram_jaccard_pairs``— exact jaccard over n-gram sets for LSH candidates
 * ``embedding_dup_pairs``— cosine ≥ τ pairs within sign-LSH blocks
+* ``dup_clusters`` / ``cluster_keepers`` — duplicate clusters of any of
+  the pair sets above, and the keep-list of one least id per cluster
 
 Scale notes (the 100 TB contract):
 
@@ -537,6 +539,52 @@ def ngram_jaccard_pairs(ds, n: int = 3, threshold: float = 0.5,
         })
 
     return withtext.map_batches(verify, batch_format="pyarrow")
+
+
+# ---------------------------------------------------------------------------
+# duplicate clusters
+# ---------------------------------------------------------------------------
+
+def _padded(ids) -> pa.ChunkedArray:
+    """Non-negative int64 ids → strings zero-padded to 20 digits, so the
+    least string of a set of ids is the numerically least id."""
+    import pyarrow.compute as pc
+    return pc.utf8_lpad(ids.cast(pa.string()), 20, "0")
+
+
+def dup_clusters(pairs, a: str, b: str):
+    """Connected components of the duplicate graph whose edges are the
+    int64 id pairs in columns ``a``/``b`` → ``(node, component)`` over
+    padded string ids, component = the least id of the cluster."""
+    from .link import connected_components
+    return connected_components(pairs.map_batches(
+        lambda t: pa.table([_padded(t.column(a)), _padded(t.column(b))],
+                           names=["a", "b"]),
+        batch_format="pyarrow"))
+
+
+def cluster_keepers(items, pairs, id_col: str, a: str, b: str):
+    """Keep-list ``(id_col,)`` of ``items``: every item in no pair, plus
+    the least id of each duplicate cluster of ``pairs`` (columns
+    ``a``/``b``).  Each padded id is relabelled to its cluster's least id
+    and an item is kept when that is its own id — no join."""
+    import pyarrow.compute as pc
+
+    from .link import canonicalize_ids_ds
+
+    def with_node(t: pa.Table) -> pa.Table:
+        node = _padded(t.column(id_col))
+        return pa.table([t.column(id_col), node, node],
+                        names=[id_col, "node", "comp"])
+
+    def keep(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t.column("node"), t.column("comp"))) \
+            .select([id_col])
+
+    ids = items.select_columns([id_col]).map_batches(
+        with_node, batch_format="pyarrow")
+    return canonicalize_ids_ds(ids, dup_clusters(pairs, a, b), ("comp",)) \
+        .map_batches(keep, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@
 * **Canonicalization** (J5/A3): connected components over alias edges
   (``_AKA`` triples + alias-table identity) in two passes — each block is
   contracted to a star of its local components, then one task labels the
-  union of the stars — and a hash-join relabel of the triples; no graph or
-  label table on the driver, and no per-hop rounds.
+  union of the stars — and one relabel that probes that one-block label
+  table by broadcast; no graph or label table on the driver, no per-hop
+  rounds and no shuffle.
 """
 
 from __future__ import annotations
@@ -250,98 +251,50 @@ def connected_components(edges_ds):
                          batch_size=None))
 
 
-def canonicalize_ids_ds(triples_ds, labels_ds, num_partitions=None):
-    """Rewrite subj_id/obj_id to canonical component ids by hash-JOINing
-    the (node, component) label Dataset onto the triples — the label table
-    never leaves the cluster (replaces round-1's ``take_all()`` → driver
-    dict → ``ray.put`` broadcast, which is O(nodes) on the driver).
+def canonicalize_ids_ds(ds, labels_ds, cols):
+    """Overwrite each column in ``cols`` with ``coalesce(component,
+    value)`` from the ``(node, component)`` labels of
+    :func:`connected_components`: values without a label and nulls keep
+    themselves.
 
-    Two left-outer joins (subj side, obj side); ids without a component
-    (singletons, quarantine nulls) keep themselves.  The labels feed both
-    joins, so they are materialized once; an empty label set relabels
-    nothing and returns ``triples_ds`` as it is.
+    The label table is one block (connected components labels in one
+    task), so it is probed by broadcast: each worker builds it once from
+    the materialized blocks' refs, and every batch is relabelled by
+    ``index_in`` → ``take`` → ``coalesce`` — no join, no shuffle, and
+    the table never passes through the driver.  An empty label set
+    returns ``ds`` as it is.
     """
-    from .dedup import _join_partitions
     import pyarrow.compute as pc
-    np_ = _join_partitions(num_partitions)
+
+    from .relational import _broadcast_build
     labels_ds = labels_ds.materialize()
     if labels_ds.count() == 0:
-        return triples_ds
+        return ds
+    refs = labels_ds.to_arrow_refs()
 
-    # Ray's upstream operators (aggregates, joins) can emit SCHEMA-LESS
-    # empty blocks for zero-key partitions; a hash-join partition fed
-    # one raises ArrowInvalid ("No match ... for key FieldRef") in
-    # finalize.  Rebuild such blocks with the expected schema before
-    # every join — a per-block no-op for non-empty blocks.
-    tsch = triples_ds.schema(fetch_if_missing=True)
-    tcols = list(zip(tsch.names, tsch.types))
+    def relabel(t: pa.Table) -> pa.Table:
+        nodes, labels = _broadcast_build(refs, "node")
+        comp = labels.column("component").combine_chunks()
+        for c in cols:
+            col = t.column(c).combine_chunks()
+            idx = pc.index_in(col, value_set=nodes.cast(col.type))
+            t = t.set_column(t.column_names.index(c), c, pc.coalesce(
+                comp.take(idx).cast(col.type), col))
+        return t
 
-    def _with_schema(cols):
-        def fix(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0:
-                return pa.table({n: pa.nulls(0, ty) for n, ty in cols})
-            return t
-        return fix
-
-    def relabel_join(ds, id_col):
-        canon_col = "_canon_" + id_col
-
-        def rename(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0:
-                return pa.table({"node": pa.nulls(0, pa.string()),
-                                 canon_col: pa.nulls(0, pa.string())})
-            return t.rename_columns(["node", canon_col])
-
-        side = labels_ds.map_batches(rename, batch_format="pyarrow")
-        left = ds.map_batches(_with_schema(tcols), batch_format="pyarrow")
-        joined = left.join(side, "left_outer", num_partitions=np_,
-                           on=(id_col,), right_on=("node",))
-
-        def coalesce(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0:
-                return pa.table({n: pa.nulls(0, ty) for n, ty in tcols})
-            merged = pc.coalesce(t.column(canon_col), t.column(id_col))
-            t2 = t.drop_columns([canon_col])
-            return t2.set_column(t2.column_names.index(id_col),
-                                 id_col, merged)
-
-        return joined.map_batches(coalesce, batch_format="pyarrow")
-
-    return relabel_join(relabel_join(triples_ds, "subj_id"), "obj_id")
-
-
-def canonicalize_ids(triples_ds, components_map_ref):
-    """Broadcast-dict variant of :func:`canonicalize_ids_ds` for small
-    component maps (tests, notebooks).  Production pipelines use the
-    Dataset-join form — the map must not live on the driver at scale."""
-    import ray
-
-    def relabel(batch: pa.Table) -> pa.Table:
-        m = ray.get(components_map_ref) \
-            if not isinstance(components_map_ref, dict) else components_map_ref
-        subj = [m.get(x, x) for x in batch.column("subj_id").to_pylist()]
-        obj = [m.get(x, x) if x is not None else None
-               for x in batch.column("obj_id").to_pylist()]
-        cols = {n: batch.column(n) for n in batch.column_names
-                if n not in ("subj_id", "obj_id")}
-        cols["subj_id"] = pa.array(subj, type=pa.string())
-        cols["obj_id"] = pa.array(obj, type=pa.string())
-        return pa.table(cols)
-
-    return triples_ds.map_batches(relabel, batch_format="pyarrow")
+    return ds.map_batches(relabel, batch_format="pyarrow")
 
 
 def alias_edges_from_triples(triples_ds):
     """(subj_id, obj_id) edges from _AKA alias triples — the input to
     cross-document canonicalization (J5/A3 in SURVEY.md)."""
+    import pyarrow.compute as pc
+
     def prep(batch: pa.Table) -> pa.Table:
-        a_out, b_out = [], []
-        for s, o, k in zip(batch.column("subj_id").to_pylist(),
-                           batch.column("obj_id").to_pylist(),
-                           batch.column("kind").to_pylist()):
-            if k == "aka" and s is not None and o is not None and s != o:
-                a_out.append(s)
-                b_out.append(o)
-        return pa.table({"a": pa.array(a_out, type=pa.string()),
-                         "b": pa.array(b_out, type=pa.string())})
+        s, o = batch.column("subj_id"), batch.column("obj_id")
+        # a null kind or id makes the mask null, which drops the row
+        keep = pc.and_(pc.equal(batch.column("kind"), "aka"),
+                       pc.not_equal(s, o))
+        return pa.table([s.filter(keep).cast(pa.string()),
+                         o.filter(keep).cast(pa.string())], names=["a", "b"])
     return triples_ds.map_batches(prep, batch_format="pyarrow")

@@ -13,7 +13,8 @@ primitives this repo already has:
 * "merge components" is the existing two-pass
   :func:`ie_ray.stages.link.connected_components` run on the SELECTED
   edge set (≤ one edge per component), composed back onto the full
-  label table with one hash join per round.
+  label table by :func:`ie_ray.stages.link.canonicalize_ids_ds`, which
+  probes the one-block component labels by broadcast.
 
 Determinism: ties break on (weight, w1, w2) total order, so the forest
 is unique even with equal weights.  Rounds are capped at 20 = log₂ of
@@ -28,7 +29,6 @@ cross edges again, so join work shrinks with the merge progress.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -59,7 +59,8 @@ def minimum_spanning_forest(edges, rounds: int = 20):
     w1 < w2 preserved from the input contract)."""
     import polars as pl
 
-    from ie_ray.stages.link import connected_components
+    from ie_ray.stages.link import (canonicalize_ids_ds,
+                                    connected_components)
     from ie_ray.stages.relational import (adaptive_join,
                                           bucketed_map_groups)
 
@@ -122,44 +123,16 @@ def minimum_spanning_forest(edges, rounds: int = 20):
             .materialize()
 
         # merge: CC over the selection graph ON COMPONENT IDS, then
-        # compose onto the node labels with one hash join
+        # relabel the node labels' comp column with it
         comp_edges = adaptive_join(
             adaptive_join(sel, lab1, on="w1"), lab2, on="w2") \
             .map_batches(lambda t: pa.table({
                 "a": t.column("c1").cast(pa.string()),
                 "b": t.column("c2").cast(pa.string())}),
                 batch_format="pyarrow")
-        cc_rows = connected_components(comp_edges).map_batches(
-            lambda t: pa.table({
-                "comp": t.column("node").cast(pa.string()),
-                "new_comp": t.column("component").cast(pa.string()),
-                "pri": pa.array(np.zeros(t.num_rows,
-                                         dtype=np.int64))}),
-            batch_format="pyarrow")
-        # make the map TOTAL: identity rows for every component, CC
-        # rows winning on priority (string comp keys rule out the
-        # int-keyed anti_join here)
-        ident = labels.map_batches(
-            lambda t: (lambda u: pa.table({
-                "comp": u, "new_comp": u,
-                "pri": pa.array(np.ones(len(u), dtype=np.int64))}))(
-                t.column("comp").combine_chunks().unique()),
-            batch_format="pyarrow")
-
-        def pick(g: pa.Table) -> pa.Table:
-            df = pl.from_arrow(g)
-            return (df.sort(["comp", "pri"])
-                    .group_by("comp", maintain_order=True)
-                    .first()).drop("pri").to_arrow()
-
-        total_map = bucketed_map_groups(cc_rows.union(ident), "comp",
-                                        pick).materialize()
-        relabeled = adaptive_join(labels, total_map, on="comp")
-        labels = relabeled.map_batches(
-            lambda t: pa.table({
-                "node": t.column("node"),
-                "comp": t.column("new_comp").cast(pa.string())}),
-            batch_format="pyarrow").materialize()
+        labels = canonicalize_ids_ds(
+            labels, connected_components(comp_edges),
+            ("comp",)).materialize()
 
     if not converged:
         # cap exhausted: one final check so the flag is truthful even

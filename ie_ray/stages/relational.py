@@ -445,18 +445,21 @@ def latest_per_group(ds, key: str, order_col: str, tiebreak: str):
 _BCAST_BUILD_CACHE: dict = {}
 
 
-def _broadcast_build(ref, on: str):
+def _broadcast_build(refs, on: str):
+    """``(keys, table)`` of a broadcast build side: one table ref, or a
+    list of block refs concatenated (schema-less empty blocks dropped)."""
     import ray
-    key = (ref.hex(), on)
+    refs = refs if isinstance(refs, list) else [refs]
+    key = (tuple(r.hex() for r in refs), on)
     hit = _BCAST_BUILD_CACHE.get(key)
     if hit is not None:
         return hit
-    r = ray.get(ref)
+    r = pa.concat_tables([t for t in ray.get(refs) if t.num_columns > 0])
     keys = r.column(on).combine_chunks()
     if pc.count_distinct(keys).as_py() != len(keys) or keys.null_count:
         raise ValueError(
-            "adaptive_join: broadcast side must be key-unique and "
-            "non-null on %r" % (on,))
+            "broadcast build side must be key-unique and non-null on %r"
+            % (on,))
     if len(_BCAST_BUILD_CACHE) > 8:
         _BCAST_BUILD_CACHE.clear()
     _BCAST_BUILD_CACHE[key] = (keys, r)

@@ -53,14 +53,18 @@ def test_cc_hub_component(ray_session):
     assert len(comp) == 201
 
 
+def _dict_relabel(table, comp, cols):
+    """The reference relabel: a driver-side dict lookup per value."""
+    return [{c: comp.get(v, v) if c in cols else v for c, v in r.items()}
+            for r in table.to_pylist()]
+
+
 def test_canonicalize_ds_matches_broadcast(ray_session):
-    """The distributed join relabel must produce exactly the broadcast-dict
+    """The broadcast relabel must produce exactly a driver-side dict
     relabel's output on a planted alias cluster."""
-    import ray
     import ray.data
-    from ie_ray.stages.link import (canonicalize_ids, canonicalize_ids_ds,
-                                    connected_components)
-    triples = ray.data.from_arrow(pa.table({
+    from ie_ray.stages.link import canonicalize_ids_ds, connected_components
+    t = pa.table({
         "subj": pa.array(["A", "B", "C", "D", None], type=pa.string()),
         "pred": pa.array(["aka", "aka", "sees", "sees", None],
                          type=pa.string()),
@@ -71,7 +75,7 @@ def test_canonicalize_ds_matches_broadcast(ray_session):
                             type=pa.string()),
         "obj_id": pa.array(["e:b", "e:c", "e:d", "e:a", None],
                            type=pa.string()),
-    }))
+    })
     edges = ray.data.from_arrow(pa.table({
         "a": pa.array(["e:a", "e:b"], type=pa.string()),
         "b": pa.array(["e:b", "e:c"], type=pa.string()),
@@ -79,35 +83,84 @@ def test_canonicalize_ds_matches_broadcast(ray_session):
     labels = connected_components(edges).materialize()
     comp = {r["node"]: r["component"] for r in labels.take_all()}
 
-    def canon_rows(ds):
-        return sorted(((r["subj_id"] or "", r["obj_id"] or "", r["kind"])
-                       for r in ds.take_all()))
+    def canon_rows(rows):
+        return sorted((r["subj_id"] or "", r["obj_id"] or "", r["kind"])
+                      for r in rows)
 
-    via_ds = canon_rows(canonicalize_ids_ds(triples, labels))
-    via_map = canon_rows(canonicalize_ids(triples, ray.put(comp)))
+    cols = ("subj_id", "obj_id")
+    via_ds = canon_rows(canonicalize_ids_ds(ray.data.from_arrow(t), labels,
+                                            cols).take_all())
+    via_map = canon_rows(_dict_relabel(t, comp, cols))
     assert via_ds == via_map
     # the planted cluster {e:a, e:b, e:c} collapsed to e:a
     assert ("e:a", "e:a", "aka") in via_ds
     assert ("", "", "quarantine") in via_ds
 
 
+def test_canonicalize_cols_keeps_unlabelled_and_null(ray_session):
+    """``cols`` names the columns to relabel in any table: a labelled
+    value takes its component, an unlabelled value and a null keep
+    themselves, and the other columns are untouched."""
+    import ray.data
+    from ie_ray.stages.link import canonicalize_ids_ds, connected_components
+    t = pa.table({
+        "word": pa.array(["colour", "color", "house", None],
+                         type=pa.string()),
+        "word2": pa.array(["color", "colour", "house", "x"],
+                          type=pa.string()),
+        "n": pa.array([3, 7, 2, 1], type=pa.int64()),
+    })
+    labels = connected_components(ray.data.from_arrow(pa.table({
+        "a": pa.array(["colour"], type=pa.string()),
+        "b": pa.array(["color"], type=pa.string()),
+    })))
+    out = canonicalize_ids_ds(ray.data.from_arrow(t), labels, ("word",))
+    assert out.schema().names == ["word", "word2", "n"]
+    assert sorted(out.take_all(), key=lambda r: r["n"]) == [
+        {"word": None, "word2": "x", "n": 1},
+        {"word": "house", "word2": "house", "n": 2},
+        {"word": "color", "word2": "color", "n": 3},
+        {"word": "color", "word2": "colour", "n": 7},
+    ]
+
+
+def test_canonicalize_runs_no_join(ray_session):
+    """The relabel probes the one-block label table by broadcast: the
+    consumed plan has no join and no hash shuffle."""
+    import ray.data
+    from ie_ray.stages.link import canonicalize_ids_ds, connected_components
+    triples = ray.data.from_arrow(pa.table({
+        "subj_id": pa.array(["e:b", "e:c", "e:d"], type=pa.string()),
+        "obj_id": pa.array(["e:a", "e:a", None], type=pa.string()),
+    }))
+    labels = connected_components(ray.data.from_arrow(pa.table({
+        "a": pa.array(["e:a"], type=pa.string()),
+        "b": pa.array(["e:b"], type=pa.string()),
+    })))
+    out = canonicalize_ids_ds(triples, labels,
+                              ("subj_id", "obj_id")).materialize()
+    assert sorted((r["subj_id"], r["obj_id"] or "")
+                  for r in out.take_all()) == \
+        [("e:a", "e:a"), ("e:c", "e:a"), ("e:d", "")]
+    stats = out.stats()
+    assert "Join" not in stats and "HashShuffle" not in stats, stats
+
+
 def test_canonicalize_pipeline(ray_session, tmp_path):
-    import ray
     import ray.data
     from ie_ray.sources.pages import write_fixture_tables
     from ie_ray.pipelines.kg import kg_triples
     from ie_ray.stages.link import (alias_edges_from_triples,
-                                    canonicalize_ids, connected_components)
+                                    canonicalize_ids_ds,
+                                    connected_components)
     d = str(tmp_path / "fx")
     write_fixture_tables(d, n_pages=80, pool_size=300)
     triples = kg_triples(d).materialize()
     edges = alias_edges_from_triples(triples)
     assert edges.count() > 0  # appositive sentences produce _AKA edges
-    comp = {r["node"]: r["component"]
-            for r in connected_components(edges).take_all()}
-    ref = ray.put(comp)
-    canon = canonicalize_ids(triples, ref)
-    rows = canon.take_all()
+    labels = connected_components(edges)
+    rows = canonicalize_ids_ds(triples, labels,
+                               ("subj_id", "obj_id")).take_all()
     # every aka pair now shares a canonical id
     for r in rows:
         if r["kind"] == "aka" and r["subj_id"] and r["obj_id"]:
@@ -173,6 +226,7 @@ def test_canonicalize_without_alias_edges(ray_session):
     })
     triples = ray.data.from_arrow(t)
     labels = connected_components(alias_edges_from_triples(triples))
-    out = canonicalize_ids_ds(triples, labels).take_all()
+    out = canonicalize_ids_ds(triples, labels,
+                              ("subj_id", "obj_id")).take_all()
     assert sorted(tuple(r.values()) for r in out) == \
         sorted(zip(*(t.column(c).to_pylist() for c in t.column_names)))

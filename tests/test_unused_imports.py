@@ -1,4 +1,5 @@
-"""Every module under ``ie_ray/`` uses each name it imports.
+"""Every module under ``ie_ray/``, ``__ray_entry__.py``, ``bench.py`` and
+every ``scripts/*.py`` uses each name it imports.
 
 AST only, nothing is imported.  A name counts as used when it appears as
 a ``Name`` node anywhere in the module, inside a string annotation, or in
@@ -7,6 +8,7 @@ exempt, as is ``from __future__ import ...``.
 """
 
 import ast
+import glob
 import os
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -66,11 +68,13 @@ def unused_imports(path):
 
 
 def test_no_unused_imports_in_engine():
-    hits = []
-    for root, _, files in os.walk(os.path.join(REPO, "ie_ray")):
-        for fn in sorted(files):
-            if fn.endswith(".py") and fn != "__init__.py":
-                path = os.path.join(root, fn)
-                hits += ["%s:%d %s" % (os.path.relpath(path, REPO), line, name)
-                         for line, name in unused_imports(path)]
+    paths = [os.path.join(root, fn)
+             for root, _, files in os.walk(os.path.join(REPO, "ie_ray"))
+             for fn in sorted(files)
+             if fn.endswith(".py") and fn != "__init__.py"]
+    paths += [os.path.join(REPO, "__ray_entry__.py"),
+              os.path.join(REPO, "bench.py")]
+    paths += sorted(glob.glob(os.path.join(REPO, "scripts", "*.py")))
+    hits = ["%s:%d %s" % (os.path.relpath(path, REPO), line, name)
+            for path in paths for line, name in unused_imports(path)]
     assert not hits, "\n".join(sorted(hits))
