@@ -8,10 +8,12 @@ streaming Ray Data pipelines over Arrow batches:
       → extract_text        (html → text, byte-identical per url)
       → exact_dedup         (content-hash shuffle)
       → segment_sentences   (flat explode page → sentences)
-      → parse               (actor pool: sentence → CCG derivation)
-      → compose             (actor pool: derivation → DRS conditions → triples)
-      → entity link         (broadcast alias join)
-      → canonicalize        (two-pass alias components + join relabel)
+      → parse               (sentence → CCG derivation)
+      → compose             (derivation → DRS conditions → triples)
+      → entity link         (broadcast alias dict)
+        (parse → compose → link run inside the same fused page task,
+         with per-worker-process state for the run)
+      → canonicalize        (two-pass alias components + broadcast relabel)
       → graph materialize   (nodes/edges parquet + per-partition manifests)
 
 Everything here is a fresh implementation; reference files are cited in

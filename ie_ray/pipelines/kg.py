@@ -7,10 +7,11 @@ Stage graph (all streaming, no mid-pipeline materialization):
           extract_text (Arrow) → filter lang == 'en' → add_page_hash
           → DedupFilter (probe of the sharded owner-index actors, which
             hold the state) → segment (flat explode page → sentence rows)
-      → ParseComposeActor (the ONE actor pool: replay/CKY parse +
-        compose + entity linking fused — derivation strings and unlinked
-        triples, the two largest intermediates, never enter the object
-        store; broadcast derivation + alias dicts, per-actor Composer LRU)
+          → ParseComposeActor (replay/CKY parse + compose + entity
+            linking — derivation strings and unlinked triples, the two
+            largest intermediates, never enter the object store;
+            broadcast derivation + alias dicts, per-process parser and
+            Composer LRU for the run)
       → [canonicalize → build_nodes/build_edges groupbys
          → hash-partitioned parquet + lineage manifests]
 
@@ -48,20 +49,6 @@ def _load_derivation_map(fixture_dir: str) -> dict:
     t = pq.read_table(os.path.join(fixture_dir, "derivations.parquet"))
     return dict(zip(t.column("sent_hash").to_pylist(),
                     t.column("ccgbank").to_pylist()))
-
-
-def _pool_sizes(ncpu: int):
-    """Sizing of the parse/compose/link actor pool from the cluster's CPU
-    count alone: ``(actor_cpus, (min, max) concurrency)``.
-
-    The pool may take 3/4 of the cluster, since the vectorized feeder
-    task keeps it busy from a few CPUs, and prestarts a few actors only
-    when there is headroom (≥16 CPUs).  Read, feeder and a downstream
-    shuffle's map tasks each need one whole CPU, so the pool at its
-    maximum size leaves one CPU free: an actor reserves no CPU at 1 CPU,
-    half a core up to 5 CPUs and a whole core from 6 up."""
-    actor_cpus = 1 if ncpu >= 6 else 0.5 if ncpu >= 2 else 0
-    return actor_cpus, (4 if ncpu >= 16 else 1, max(2, ncpu * 3 // 4))
 
 
 def _new_pages(pages_ds, shards):
@@ -102,7 +89,6 @@ def kg_triples(fixture_dir: Optional[str] = None,
                         or os.environ.get("IE_RAY_ALIAS_TABLE")
                         or os.path.join(fixture_dir, "alias_table.parquet"))
     ncpu = int(ray.cluster_resources().get("CPU", 4))
-    actor_cpus, concurrency = _pool_sizes(ncpu)
     if pages_ds is None:
         pages_ds = ray.data.read_parquet(
             os.path.join(fixture_dir, "pages"),
@@ -121,28 +107,19 @@ def kg_triples(fixture_dir: Optional[str] = None,
     # calls this once per shard)
     derivations_ref = ray.put({}) if cold \
         else ray.put(_load_derivation_map(fixture_dir))
-    # parse, compose AND entity linking run fused in ONE actor pool: the
+    # parse, compose AND entity linking close the fused page task: the
     # per-sentence derivation strings (the largest intermediate) and the
-    # linked-triple hop never enter the object store.
-    from ..stages.compose_stage import ParseComposeActor
-    fused_kwargs = {"derivations": derivations_ref,
-                    "alias_map": ray.put(load_alias_map(alias_table_path))}
-    if cold:
-        # benchmark honesty mode: a REAL crawl has no replay corpus and
-        # no fixture-shaped heuristic — every sentence pays the full
-        # supertagger+CKY path (BASELINE.md cold-parser row)
-        fused_kwargs["heuristic_fallback"] = False
-    # parser batch: rows are sentences, sized so the pool runs a few
-    # hundred tasks per million pages — enough to saturate it without
-    # drowning the driver's scheduling loop (the dominant serial cost at
-    # small scale).
+    # linked-triple hop never enter the object store, and cold parsing
+    # runs on every task slot.  Looked up at call time (tracing patches it).
+    from ..stages import compose_stage
+    # cold is benchmark honesty mode: a REAL crawl has no replay corpus
+    # and no fixture-shaped heuristic — every sentence pays the full
+    # supertagger+CKY path (BASELINE.md cold-parser row)
     return ds.map_batches(
-        ParseComposeActor,
-        fn_constructor_kwargs=fused_kwargs,
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=concurrency,
-        num_cpus=actor_cpus)
+        compose_stage.ParseComposeActor(
+            derivations_ref, ray.put(load_alias_map(alias_table_path)),
+            heuristic_fallback=not cold),
+        batch_format="pyarrow")
 
 
 def _page_shards(fixture_dir: str, num_shards: int):

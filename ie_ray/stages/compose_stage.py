@@ -1,8 +1,10 @@
 """Compose stage: CCG derivation → DRS conditions → (subj, pred, obj) rows.
 
-One actor-pool ``map_batches`` hosting a ``Composer`` per worker (the
-reference's per-process MODEL/category caches, T2/T3 in SURVEY.md §2.3,
-become per-actor state).  Emits one row per triple with full provenance;
+``ParseComposeActor`` runs parse, compose and link as the last step of
+the flagship's fused page task; each worker process keeps one
+``Composer`` (inside ``ComposeActor``) per run, so the reference's
+per-process MODEL/category caches (T2/T3 in SURVEY.md §2.3) become
+per-process state.  Emits one row per triple with full provenance;
 compose failures become quarantine rows (error column), never exceptions.
 
 Parity: process_ccg_pt (``ie/semantics/ccg.py:1998-2024``) and the triple
@@ -11,9 +13,12 @@ distillation of FIXTURES.md §5.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pyarrow as pa
 
 from ..semantics.engine import Composer
+from .parse import ReplayParserActor
 
 TRIPLE_SCHEMA = pa.schema([
     ("url", pa.string()),
@@ -29,7 +34,7 @@ TRIPLE_SCHEMA = pa.schema([
 
 
 class ComposeActor:
-    """Per-actor state: the Composer plus an LRU of composed results keyed by
+    """Per-instance state: the Composer plus an LRU of composed results keyed by
     the derivation string — web corpora repeat sentences heavily (titles,
     boilerplate), and composition is deterministic, so caching is exact.
     (Parity: the reference's per-process template/category caches, T2/T3.)
@@ -41,7 +46,6 @@ class ComposeActor:
         """``alias_map`` (broadcast dict or ObjectRef) fuses entity linking
         into this stage — one less 9M-row hop through the object store;
         the standalone LinkActor remains for pipelines that link later."""
-        from collections import OrderedDict
         self.composer = Composer()
         self.linker = None
         if alias_map is not None:
@@ -160,19 +164,48 @@ class ComposeActor:
                          for n in schema.names})
 
 
+# Per-process parse/compose/link state of the fused page task, keyed by
+# the run's broadcast refs: a new ``kg_triples`` call (new refs) starts
+# with an empty memo, LRU and link memo, and a worker keeps the state of
+# at most ``_STATE_MAX`` runs.
+_STATE: OrderedDict = OrderedDict()
+_STATE_MAX = 2
+
+
 class ParseComposeActor:
-    """Fused parse+compose actor: the per-sentence derivation strings —
-    the pipeline's largest intermediate (~500 B × sentences, ≈2.4 GB per
-    600k pages) — stay inside the actor instead of round-tripping the
-    object store between two pools.  One pool also means one concurrency
-    knob for the whole semantic phase."""
+    """Fused parse → compose → link as a stateless ``map_batches``
+    callable: pass an instance, and Ray Data fuses it into the page task
+    after segmentation, so the derivation strings and unlinked triples
+    never enter the object store and cold parsing spreads over every
+    task slot.
+
+    ``derivations`` and ``alias_map`` are ``ray.put`` refs.  The
+    instance only holds them; each worker process builds its
+    ``ReplayParserActor`` + ``ComposeActor`` on the first batch of a run
+    and reuses them for that run's later batches (the reference's
+    per-daemon model and caches, T1–T3)."""
 
     def __init__(self, derivations, alias_map=None,
                  heuristic_fallback: bool = True):
-        from .parse import ReplayParserActor
-        self.parser = ReplayParserActor(derivations,
-                                        heuristic_fallback=heuristic_fallback)
-        self.composer_stage = ComposeActor(alias_map=alias_map)
+        self.derivations = derivations
+        self.alias_map = alias_map
+        self.heuristic_fallback = heuristic_fallback
+
+    def _state(self):
+        key = (self.derivations.hex(),
+               None if self.alias_map is None else self.alias_map.hex(),
+               self.heuristic_fallback)
+        state = _STATE.get(key)
+        if state is None:
+            state = (ReplayParserActor(
+                         self.derivations,
+                         heuristic_fallback=self.heuristic_fallback),
+                     ComposeActor(alias_map=self.alias_map))
+            _STATE[key] = state
+            while len(_STATE) > _STATE_MAX:
+                _STATE.popitem(last=False)
+        return state
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.composer_stage(self.parser(batch))
+        parser, composer = self._state()
+        return composer(parser(batch))

@@ -23,7 +23,10 @@ import re
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+_EDGE_KINDS = pa.array(["arg", "aka", "poss"], type=pa.string())
 
 
 def build_edges(triples_ds):
@@ -36,16 +39,11 @@ def build_edges(triples_ds):
     corpus-sized.
     """
     def prep(batch: pa.Table) -> pa.Table:
-        mask = [s is not None and o is not None and k in ("arg", "aka", "poss")
-                for s, o, k in zip(batch.column("subj_id").to_pylist(),
-                                   batch.column("obj_id").to_pylist(),
-                                   batch.column("kind").to_pylist())]
-        t = batch.filter(pa.array(mask))
-        return pa.table({
-            "subj_id": t.column("subj_id"),
-            "pred": t.column("pred"),
-            "obj_id": t.column("obj_id"),
-        })
+        mask = pc.and_(
+            pc.and_(pc.is_valid(batch.column("subj_id")),
+                    pc.is_valid(batch.column("obj_id"))),
+            pc.is_in(batch.column("kind"), value_set=_EDGE_KINDS))
+        return batch.filter(mask).select(["subj_id", "pred", "obj_id"])
 
     def block_counts(t: pa.Table) -> pa.Table:
         # pre-combine per block (Arrow C++ hash agg) so a hot entity's
@@ -79,21 +77,17 @@ def build_nodes(triples_ds):
     hot key" requirement of the north rule, SURVEY.md §4).
     """
     def partial_counts(batch: pa.Table) -> pa.Table:
-        counts: dict = {}
-        for sid, s, oid, o in zip(batch.column("subj_id").to_pylist(),
-                                  batch.column("subj").to_pylist(),
-                                  batch.column("obj_id").to_pylist(),
-                                  batch.column("obj").to_pylist()):
-            if sid is not None:
-                counts[(sid, s or "")] = counts.get((sid, s or ""), 0) + 1
-            if oid is not None:
-                counts[(oid, o or "")] = counts.get((oid, o or ""), 0) + 1
-        keys = sorted(counts)
-        return pa.table({
-            "entity_id": pa.array([k[0] for k in keys], type=pa.string()),
-            "label": pa.array([k[1] for k in keys], type=pa.string()),
-            "n": pa.array([counts[k] for k in keys], type=pa.int64()),
-        })
+        ends = pa.concat_tables([
+            pa.table({"entity_id": batch.column("subj_id"),
+                      "label": batch.column("subj")}),
+            pa.table({"entity_id": batch.column("obj_id"),
+                      "label": batch.column("obj")})])
+        ends = ends.filter(pc.is_valid(ends.column("entity_id")))
+        ends = ends.set_column(1, "label",
+                               pc.fill_null(ends.column("label"), ""))
+        g = ends.group_by(["entity_id", "label"]).aggregate(
+            [([], "count_all")])
+        return g.rename_columns(["entity_id", "label", "n"])
 
     from ie_ray.stages.relational import (bucketed_aggregate,
                                           bucketed_map_groups)
@@ -281,12 +275,16 @@ def co_mention_pairs(triples_ds, k: int = 50):
     """Top-k entity pairs co-mentioned in the same sentence — the
     co-occurrence signal KG construction uses for relatedness edges.
 
-    Partitioning assumption (same one the flagship's counting relies
-    on): a sentence's triple rows are emitted contiguously by ONE
-    compose task and never split, so per-sentence entity sets build
-    block-locally.  Pairs per sentence are bounded by the ≤250-word
-    sentence cap (O(entities²) ≈ tens), pre-counted per block, then
-    ONE bounded exchange sums; ties break on the pair id.
+    ``n`` is the number of distinct sentences (by ``sent_hash``) that
+    mention both entities.  Partitioning assumption (same one the
+    flagship's counting relies on): a sentence's triple rows are emitted
+    contiguously by ONE compose task and never split, so per-sentence
+    entity sets build block-locally.  Pairs per sentence are bounded by
+    the ≤250-word sentence cap (O(entities²) ≈ tens).  A recurring
+    sentence may sit in several blocks, so each block emits its distinct
+    (pair, sentence) rows and ONE bounded exchange counts distinct
+    sentences per pair; the result does not depend on the block layout.
+    Ties break on the pair id.
     """
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -299,26 +297,23 @@ def co_mention_pairs(triples_ds, k: int = 50):
                 s.add(sid)
             if oid is not None:
                 s.add(oid)
-        counts: dict = {}
-        for ents in per_sent.values():
+        rows = []
+        for h, ents in per_sent.items():
             es = sorted(ents)
-            for i in range(len(es)):
-                for j in range(i + 1, len(es)):
-                    key = (es[i], es[j])
-                    counts[key] = counts.get(key, 0) + 1
-        keys = sorted(counts)
+            rows.extend((es[i], es[j], h) for i in range(len(es))
+                        for j in range(i + 1, len(es)))
         return pa.table({
-            "ent_a": pa.array([x[0] for x in keys], type=pa.string()),
-            "ent_b": pa.array([x[1] for x in keys], type=pa.string()),
-            "n": pa.array([counts[x] for x in keys], type=pa.int64())})
+            "ent_a": pa.array([x[0] for x in rows], type=pa.string()),
+            "ent_b": pa.array([x[1] for x in rows], type=pa.string()),
+            "sent_hash": pa.array([x[2] for x in rows], type=pa.string())})
 
     from ie_ray.stages.relational import bucketed_aggregate
     agg = bucketed_aggregate(
         triples_ds.map_batches(pairs, batch_format="pyarrow"),
-        ["ent_a", "ent_b"], [("n", "sum")]) \
+        ["ent_a", "ent_b"], [("sent_hash", "count_distinct")]) \
         .map_batches(lambda t: pa.table({
             "ent_a": t.column("ent_a"), "ent_b": t.column("ent_b"),
-            "n": t.column("n_sum").cast(pa.int64())}),
+            "n": t.column("sent_hash_count_distinct").cast(pa.int64())}),
             batch_format="pyarrow")
     return agg.sort(["n", "ent_a", "ent_b"],
                     descending=[True, False, False]).limit(k)
@@ -344,7 +339,6 @@ def khop_subgraph(edges_ds, seeds, hops: int = 2):
     predicate).  Returns the deduplicated touched edge rows.
     """
     import numpy as np
-    import pyarrow.compute as pc
     import ray
 
     from ie_ray.stages.relational import lowcard_combine

@@ -1,12 +1,14 @@
-"""Parser stage: sentence → CCG derivation (actor pool).
+"""Parser stage: sentence → CCG derivation.
 
 The reference hosts EasySRL (a ~100s-MB Java model loaded once per daemon,
 ``ie/grpc/__init__.py:138-192``; serialized per-session,
-``CcgServiceHandler.java:99-123``).  The rebuild keeps the actor-pool
-architecture real — heavy state in ``__init__``, batched ``__call__`` — but
-substitutes a deterministic **replay parser**: derivations keyed by the md5
-of the preprocessed sentence, broadcast once through the object store
-(``ray.put``) and shared zero-copy by every actor on a node.
+``CcgServiceHandler.java:99-123``).  The rebuild keeps that state once
+per worker process — heavy state in ``__init__``, batched ``__call__``;
+the flagship builds it inside ``ParseComposeActor`` on a run's first
+batch in each worker — and puts a deterministic **replay parser** in
+front of the supertagger + CKY parser: derivations keyed by the md5 of
+the preprocessed sentence, broadcast once through the object store
+(``ray.put``).
 
 Rows without a derivation (out-of-corpus or over the 250-word cap) are not
 dropped: they get an ``error`` marker and flow to the quarantine sink —
@@ -25,11 +27,12 @@ from .segment import MAX_SENT_WORDS
 
 
 class ReplayParserActor:
-    """Callable class for ``map_batches(..., concurrency=N)``.
+    """Batched parser callable: ``__call__`` adds ``sent_hash``,
+    ``ccgbank`` and ``parse_error`` to a batch of sentences.
 
-    ``derivations`` arrives as a plain dict because Ray resolves the
-    ``ray.put`` ObjectRef passed in ``fn_constructor_kwargs`` — one copy per
-    node in shared memory, not one per task.
+    ``derivations`` is a dict or the ``ray.put`` ObjectRef of one
+    (fetched here, once per instance); parsed sentences are memoized
+    into this instance's copy.
     """
 
     def __init__(self, derivations, heuristic_fallback: bool = True):
@@ -42,7 +45,7 @@ class ReplayParserActor:
             from ..sources.heuristic_parse import synthesize_derivation
             self.fallback = synthesize_derivation
         # the real parser (supertagger + CKY, ie_ray/ccg/parser.py) — built
-        # once per actor; covers arbitrary text beyond the replay corpus
+        # once per instance; covers arbitrary text beyond the replay corpus
         from ..ccg.parser import CkyParser
         self.cky = CkyParser()
 
@@ -71,7 +74,7 @@ class ReplayParserActor:
                 continue
             d = self._parse_one(s, key)
             if d is not None:
-                self.derivations[key] = d       # per-actor memo
+                self.derivations[key] = d       # per-instance memo
             if d is None:
                 derivs.append("")
                 errors.append("no_parse")

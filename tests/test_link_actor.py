@@ -97,6 +97,36 @@ def test_kg_triples_alias_override(ray_session, tmp_path, kb_path):
     assert not any(i.startswith("E") for i in ids)
 
 
+def test_kg_triples_state_belongs_to_one_run(ray_session, tmp_path,
+                                             kb_path):
+    """Each worker's parse/compose/link state is keyed by the run's
+    broadcast refs: runs with alias table A, then B, then A again in one
+    session give B's ids from B's KB alone, and the second A run equals
+    the first row for row."""
+    import json
+    import os
+    from ie_ray.pipelines.kg import kg_triples
+    from ie_ray.sources.pages import write_fixture_tables
+    d = str(tmp_path / "fx")
+    write_fixture_tables(d, n_pages=20)
+    kb_a = os.path.join(d, "alias_table.parquet")
+
+    def run(alias_path):
+        return sorted(json.dumps(r, sort_keys=True) for r in
+                      kg_triples(d, alias_table_path=alias_path).take_all())
+
+    first, b, again = run(kb_a), run(kb_path), run(kb_a)
+    assert again == first
+    link_b = LinkActor(load_alias_map(kb_path))
+    rows = [json.loads(r) for r in b]
+    assert any(r["subj_id"] for r in rows)
+    for r in rows:
+        assert r["subj_id"] == link_b._link_one(r["subj"]), r
+        assert r["obj_id"] == link_b._link_one(r["obj"]), r
+    assert any(json.loads(r)["subj_id"].startswith("E") for r in first
+               if json.loads(r)["subj_id"])
+
+
 def test_external_link_actor_fetch_and_cache():
     """ExternalLinkActor: fixture-backed candidate fetcher, per-unique
     fetch accounting, prefix-score acceptance, pipeline parity when the

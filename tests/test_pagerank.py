@@ -102,8 +102,9 @@ def test_personalized_pagerank_rejects_missing_seed(ray_session):
 
 def test_kg_pagerank_finishes_at_two_cpus():
     """pagerank reads its edges several times, two of them in one union
-    plan; unless they are materialized once, two copies of the flagship's
-    actor pool run at once and a 2-CPU session never finishes."""
+    plan; unless they are materialized once, two copies of the flagship
+    run at once (with the former parse actor pool a 2-CPU session never
+    finished).  A 2-CPU session must finish with a non-empty ranking."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = ("import ray\n"
               "ray.init(address='local', num_cpus=2, "

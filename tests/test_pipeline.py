@@ -101,33 +101,51 @@ def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path,
             ray.get(shard.size.remote(), timeout=60)
 
 
-def test_pool_sizes_rule():
-    """One whole CPU always stays free for the task operators, with the
-    one actor pool at its maximum size on any cluster.  Sizing at 2 CPUs
-    (the benchmark's) and at 4 CPUs (this suite's session) is pinned."""
-    from ie_ray.pipelines.kg import _pool_sizes
-    for ncpu in range(1, 65):
-        actor_cpus, (lo, hi) = _pool_sizes(ncpu)
-        assert ncpu - hi * actor_cpus >= 1, ncpu
-        assert 1 <= lo <= hi, ncpu
-        if ncpu >= 6:
-            assert actor_cpus == 1, ncpu
-    assert _pool_sizes(1)[0] == 0
-    assert _pool_sizes(2) == (0.5, (1, 2))
-    assert _pool_sizes(4) == (0.5, (1, 3))
-
-
-def test_kg_triples_plan_has_one_actor_pool(ray_session, fixture_dir):
-    """The consumed flagship plan is three physical operators: the read,
-    ONE fused task operator running every page stage through the dedup
-    probe and segmentation, and the parse/compose/link actor pool."""
+def test_kg_triples_plan_is_one_fused_task(ray_session, fixture_dir):
+    """The consumed flagship plan is two physical operators: the read and
+    ONE fused task running every page stage, the dedup probe,
+    segmentation and parse/compose/link.  No actor pool."""
+    import ray.data
     from ie_ray.pipelines.kg import kg_triples
-    stats = kg_triples(fixture_dir).materialize().stats()
+    ds = kg_triples(fixture_dir)
+    stats = ds.materialize().stats()
     ops = [line for line in stats.splitlines()
            if line.startswith("Operator ")]
-    assert len(ops) == 3, stats
-    assert "MapBatches(DedupFilter)->MapBatches(segment_batch)" in ops[1], ops
-    assert "ParseComposeActor" in ops[2], ops
+    assert len(ops) == 2, stats
+    assert "MapBatches(DedupFilter)->MapBatches(segment_batch)" \
+        "->MapBatches(ParseComposeActor)" in ops[1], ops
+    # the stats text names no compute strategy: read it off the logical
+    # plan, where an actor-pool stage carries an ActorPoolStrategy
+    todo = [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        assert not isinstance(getattr(op, "_compute", None),
+                              ray.data.ActorPoolStrategy), op.name
+        todo.extend(op.input_dependencies)
+
+
+def test_kg_triples_dead_dedup_shard_raises(fixture_dir):
+    """A dedup shard that died before the run makes ``kg_triples`` raise
+    within 120 s: it neither hangs nor returns rows."""
+    script = ("import sys, ray\n"
+              "ray.init(address='local', num_cpus=2, "
+              "include_dashboard=False)\n"
+              "from ie_ray.pipelines.kg import kg_triples\n"
+              "from ie_ray.stages.dedup_index import create_dedup_index\n"
+              "shards = create_dedup_index()\n"
+              "ray.kill(shards[0])\n"
+              "try:\n"
+              "    rows = kg_triples(sys.argv[1], "
+              "dedup_shards=shards).take_all()\n"
+              "except Exception as e:\n"
+              "    print('RAISED', type(e).__name__)\n"
+              "else:\n"
+              "    print('ROWS', len(rows))\n")
+    proc = subprocess.run([sys.executable, "-c", script, fixture_dir],
+                          capture_output=True, text=True, cwd=REPO,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split()[-2] == "RAISED", proc.stdout[-2000:]
 
 
 def _sorted_rows(parquet_dir):
@@ -137,8 +155,9 @@ def _sorted_rows(parquet_dir):
 
 
 def test_kg_triples_one_cpu(ray_session, fixture_dir, tmp_path):
-    """A 1-CPU session finishes (actors reserve no CPU there) with the
-    same triples as the multi-CPU session."""
+    """A 1-CPU session finishes (the read and the fused page task are
+    the only CPU users; the dedup shards reserve none) with the same
+    triples as the multi-CPU session."""
     from ie_ray.pipelines.kg import kg_triples
     one, many = str(tmp_path / "one_cpu"), str(tmp_path / "session")
     script = ("import sys, ray\n"
