@@ -1,6 +1,6 @@
 """The flagship pipeline: pages → triples → linked graph.
 
-Stage graph (all streaming, no mid-pipeline materialization):
+``kg_triples`` (all streaming, no mid-pipeline materialization):
 
     read_parquet(pages, columns=[url, html, lang])
       → ONE fused task operator:
@@ -12,8 +12,13 @@ Stage graph (all streaming, no mid-pipeline materialization):
             largest intermediates, never enter the object store;
             broadcast derivation + alias dicts, per-process parser and
             Composer LRU for the run)
-      → [canonicalize → build_nodes/build_edges groupbys
-         → hash-partitioned parquet + lineage manifests]
+
+``kg_full`` is the one writer.  It runs ``kg_triples`` per contiguous
+shard of the input files and lands each shard's triples atomically under
+``out/landed/`` with a lineage manifest; then, from every landed triple,
+canonicalize → build_nodes/build_edges → hash-partitioned parquet +
+manifests.  The landed shards are the only checkpoint: a re-run computes
+the shards that have not landed and reruns the cheap graph tail.
 
 Parity with the reference's daemon chain: SURVEY.md §3.2; re-architecture
 rationale §4.
@@ -21,7 +26,10 @@ rationale §4.
 
 from __future__ import annotations
 
+import glob
+import json
 import os
+import shutil
 from typing import Optional
 
 import ray
@@ -30,6 +38,7 @@ import ray.data
 from ..sources.pages import write_fixture_tables
 from ..stages.dedup_index import create_dedup_index
 from ..stages.extract import add_page_hash, extract_text_batch, filter_lang
+from ..stages.graph import manifest_path, stamp_manifest
 from ..stages.link import load_alias_map
 from ..stages.segment import segment_batch
 
@@ -49,6 +58,15 @@ def _load_derivation_map(fixture_dir: str) -> dict:
     t = pq.read_table(os.path.join(fixture_dir, "derivations.parquet"))
     return dict(zip(t.column("sent_hash").to_pylist(),
                     t.column("ccgbank").to_pylist()))
+
+
+def _read_pages(paths) -> "ray.data.Dataset":
+    """The page read of every flagship run: three columns and
+    ``max(2 × CPUs, 8)`` blocks.  The block count is the fused task
+    count, so it is what spreads cold parsing over the CPUs."""
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    return ray.data.read_parquet(paths, columns=["url", "html", "lang"],
+                                 override_num_blocks=max(ncpu * 2, 8))
 
 
 def _new_pages(pages_ds, shards):
@@ -81,19 +99,15 @@ def kg_triples(fixture_dir: Optional[str] = None,
     pipeline; defaults to ``<fixture_dir>/alias_table.parquet``.  Env
     override: ``IE_RAY_ALIAS_TABLE``.
 
-    ``dedup_shards`` lets a sharded/resumable caller share ONE dedup
-    index across per-shard pipeline runs (cross-shard duplicates must
-    not escape just because the work is checkpointed per shard)."""
+    ``dedup_shards`` lets ``kg_full`` share ONE dedup index across its
+    per-shard runs (cross-shard duplicates must not escape just because
+    the work is checkpointed per shard)."""
     fixture_dir = fixture_dir or default_fixture_dir()
     alias_table_path = (alias_table_path
                         or os.environ.get("IE_RAY_ALIAS_TABLE")
                         or os.path.join(fixture_dir, "alias_table.parquet"))
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
     if pages_ds is None:
-        pages_ds = ray.data.read_parquet(
-            os.path.join(fixture_dir, "pages"),
-            columns=["url", "html", "lang"],
-            override_num_blocks=max(ncpu * 2, 8))
+        pages_ds = _read_pages(os.path.join(fixture_dir, "pages"))
 
     # online sharded hash index (reference semantics: probe-and-insert,
     # aws/__init__.py:115-136) — no all-to-all shuffle on the hot path
@@ -103,8 +117,8 @@ def kg_triples(fixture_dir: Optional[str] = None,
     cold = os.environ.get("IE_RAY_COLD_PARSER", "").lower() \
         not in ("", "0", "false")
     # cold mode must not pay the replay-corpus load it will never use
-    # (derivations.parquet is GBs at benchmark scale, and kg_resumable
-    # calls this once per shard)
+    # (derivations.parquet is GBs at benchmark scale, and kg_full calls
+    # this once per shard)
     derivations_ref = ray.put({}) if cold \
         else ray.put(_load_derivation_map(fixture_dir))
     # parse, compose AND entity linking close the fused page task: the
@@ -127,8 +141,7 @@ def _page_shards(fixture_dir: str, num_shards: int):
 
     Contiguity preserves row adjacency so the online dedup filter sees
     syndicated duplicates (planted next to their source) in one shard."""
-    import glob as _glob
-    files = sorted(_glob.glob(os.path.join(fixture_dir, "pages", "*.parquet")))
+    files = sorted(glob.glob(os.path.join(fixture_dir, "pages", "*.parquet")))
     if not files:
         return []
     num_shards = min(num_shards, len(files))
@@ -137,146 +150,113 @@ def _page_shards(fixture_dir: str, num_shards: int):
             for i in range(num_shards) if files[i * per:(i + 1) * per]]
 
 
-def kg_resumable(fixture_dir: Optional[str] = None,
-                 out_dir: str = "/tmp/ie_ray_resumable",
-                 num_shards: int = 4,
-                 _fail_after: Optional[int] = None) -> dict:
-    """Pages-level checkpoint-resume flagship (F1, north_rule lineage):
+def _landed(landed: str, k: int, files) -> bool:
+    """Shard ``k`` has landed: its manifest exists and names ``files``."""
+    mp = manifest_path(landed, "triples-shard%03d" % k)
+    if not os.path.exists(mp):
+        return False
+    with open(mp) as f:
+        return json.load(f)["inputs"] == files
 
-    input parquet files are grouped into contiguous shards; each shard
-    runs the full pages→triples pipeline and lands atomically (write to a
-    tmp dir, ``os.rename``, then stamp a lineage manifest naming its
-    input files).  A crashed run re-invoked with the same ``out_dir``
-    SKIPS every shard whose manifest exists — the expensive parse/compose
-    work is never recomputed — and only the cheap final graph aggregation
-    re-runs over the landed triples.  ``_fail_after`` is a test hook that
-    simulates a crash after N shards.
-    """
-    import shutil
 
-    from ..stages.graph import (build_edges, build_nodes, manifest_path,
-                                partition_done, write_graph)
-    import pyarrow.parquet as pq
-
-    fixture_dir = fixture_dir or default_fixture_dir()
-    os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-    shards = _page_shards(fixture_dir, num_shards)
-
-    # ONE dedup index shared across every shard of this run, so
-    # cross-shard duplicate pages dedup exactly like the single-pass
-    # flagship.  On resume, the index is re-SEEDED from the completed
-    # shards' input files (``_new_pages`` only — the expensive
-    # parse/compose work still skips), so remaining shards see the same
-    # membership a crash-free run would have.  The index is killed once
-    # every shard has landed (or the run fails), not left to the cyclic
-    # GC of the consumed plans.
+def _land_shards(fixture_dir: str, landed: str, shards,
+                 fail_after: Optional[int]) -> int:
+    """Run ``kg_triples`` on every shard that has not landed; each lands
+    atomically (write to a tmp dir, ``os.rename``, then stamp its
+    manifest).  Returns the number of shards computed."""
+    pending = [k for k, files in enumerate(shards)
+               if not _landed(landed, k, files)]
+    if not pending:
+        return 0                    # no index: nothing would probe it
+    # ONE dedup index shared across every shard, so cross-shard duplicate
+    # pages dedup exactly like a one-shard run.  It is seeded from the
+    # landed shards' inputs (the page stages only: their parse/compose
+    # work is not redone), so the pending shards see the membership an
+    # uninterrupted run would have.  Killed when this returns or fails,
+    # not left to the cyclic GC of the consumed plans.
     dedup_shards = create_dedup_index()
     try:
-        done_files = [files for k, files in enumerate(shards)
-                      if partition_done(out_dir, "triples-shard%03d" % k)]
-        if done_files:
-            seed = ray.data.read_parquet(
-                [f for fl in done_files for f in fl],
-                columns=["url", "html", "lang"])
-            # consume for the insert side effect; only counts reach the
-            # driver
-            _new_pages(seed, dedup_shards).count()
-
-        completed_now, skipped = 0, 0
-        for k, files in enumerate(shards):
-            part = "triples-shard%03d" % k
-            final_dir = os.path.join(out_dir, "triples", "shard=%03d" % k)
-            if partition_done(out_dir, part):
-                skipped += 1
-                continue
-            tmp_dir = final_dir + ".tmp"
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            shutil.rmtree(final_dir, ignore_errors=True)
-            os.makedirs(tmp_dir, exist_ok=True)
-            pages = ray.data.read_parquet(files,
-                                          columns=["url", "html", "lang"])
-            triples = kg_triples(fixture_dir, pages_ds=pages,
-                                 dedup_shards=dedup_shards)
-            triples.write_parquet(tmp_dir)
-            os.rename(tmp_dir, final_dir)
-            rows = sum(
-                pq.ParquetFile(os.path.join(final_dir, f)).metadata.num_rows
-                for f in os.listdir(final_dir) if f.endswith(".parquet"))
-            import json as _json
-            import time as _time
-            man = {"partition": part, "table": "triples", "rows": rows,
-                   "inputs": files, "written_at": _time.time()}
-            mp = manifest_path(out_dir, part)
-            with open(mp + ".tmp", "w") as f:
-                _json.dump(man, f)
-            os.replace(mp + ".tmp", mp)
-            completed_now += 1
-            if _fail_after is not None and completed_now >= _fail_after:
-                raise RuntimeError("simulated crash after %d shards"
-                                   % completed_now)
+        seed = [f for k, files in enumerate(shards) if k not in pending
+                for f in files]
+        if seed:
+            # consumed for the insert side effect; only a count comes back
+            _new_pages(_read_pages(seed), dedup_shards).count()
+        for n, k in enumerate(pending, 1):
+            final = os.path.join(landed, "triples", "shard%03d" % k)
+            tmp = final + ".tmp"
+            shutil.rmtree(tmp, ignore_errors=True)
+            shutil.rmtree(final, ignore_errors=True)
+            os.makedirs(tmp)
+            kg_triples(fixture_dir, pages_ds=_read_pages(shards[k]),
+                       dedup_shards=dedup_shards).write_parquet(tmp)
+            os.rename(tmp, final)
+            stamp_manifest(landed, "triples-shard%03d" % k, "triples", final,
+                           inputs=shards[k])
+            if fail_after is not None and n >= fail_after:
+                raise RuntimeError("simulated crash after %d shards" % n)
     finally:
         for shard in dedup_shards:
             ray.kill(shard)
-
-    # final aggregation over all landed triples (cheap relative to compose)
-    triples = ray.data.read_parquet(os.path.join(out_dir, "triples"))
-    good = triples.filter(expr="kind != 'quarantine' and kind != 'empty'")
-    graph_dir = os.path.join(out_dir, "graph")
-    shutil.rmtree(graph_dir, ignore_errors=True)
-    manifests = write_graph(build_nodes(good), build_edges(good), graph_dir)
-    return {
-        "out_dir": out_dir,
-        "shards": len(shards),
-        "shards_skipped": skipped,
-        "shards_computed": completed_now,
-        "triples": triples.count(),
-        "nodes": sum(m["rows"] for m in manifests["nodes"]),
-        "edges": sum(m["rows"] for m in manifests["edges"]),
-    }
+    return len(pending)
 
 
 def kg_full(fixture_dir: Optional[str] = None,
-            out_dir: str = "/tmp/ie_ray_out") -> dict:
-    """Full run: triples → canonicalize → nodes/edges → partitioned parquet
-    + manifests.  Returns summary counts (small driver-side values only)."""
+            out_dir: str = "/tmp/ie_ray_out",
+            num_shards: int = 1,
+            _fail_after: Optional[int] = None) -> dict:
+    """Full run: triples landed per shard → canonicalize → nodes/edges →
+    partitioned parquet + manifests.  Returns summary counts (small
+    driver-side values only).
+
+    Stage 1 groups the input files into ``num_shards`` contiguous shards
+    and runs ``kg_triples`` on each shard that has not landed under
+    ``out_dir/landed/`` (triples plus a lineage manifest naming the
+    shard's input files).  Stage 2 always reruns from every landed
+    triple: connected components over the alias edges, the canonical
+    relabel, the quarantine and triples sinks, nodes and edges.  Each
+    published table is cleared before it is written, so a re-run on the
+    same ``out_dir`` (after a crash, or after a finished run) computes
+    only the shards that have not landed and writes the same output.
+    ``_fail_after`` is a test hook that simulates a crash after N shards.
+    """
     from ..stages.graph import build_edges, build_nodes, write_graph
     from ..stages.link import (alias_edges_from_triples, canonicalize_ids_ds,
                                connected_components)
 
-    # materialize the (reduced) triples once — kg_full consumes them three
-    # ways (quarantine sink, nodes, edges) and re-running the whole page
-    # pipeline per consumer would triple the work.  Triples are ~100× smaller
-    # than the page input, so this is a deliberate small-side checkpoint,
-    # not a full-input materialization.  Nothing re-reads the pages after
-    # it, so the run's dedup shards are killed there, not left to the
-    # cyclic GC of the consumed plan.
-    dedup_shards = create_dedup_index()
-    try:
-        triples = kg_triples(fixture_dir,
-                             dedup_shards=dedup_shards).materialize()
-    finally:
-        for shard in dedup_shards:
-            ray.kill(shard)
+    fixture_dir = fixture_dir or default_fixture_dir()
+    landed = os.path.join(out_dir, "landed")
+    shards = _page_shards(fixture_dir, num_shards)
+    computed = _land_shards(fixture_dir, landed, shards, _fail_after)
+
+    files = [f for k in range(len(shards)) for f in sorted(glob.glob(
+        os.path.join(landed, "triples", "shard%03d" % k, "*.parquet")))]
+    # one block per landed file, i.e. per block kg_triples wrote: the
+    # graph tail costs per block, and Ray's default read splits the
+    # replay fixture's 8 files into 24 blocks
+    triples = ray.data.read_parquet(files, override_num_blocks=len(files))
     # labels stay in the cluster: CC in two passes (contract each block,
     # label in one task), then every triple batch probes the one-block
-    # label table by broadcast — nothing O(nodes) on the driver
+    # label table by broadcast — nothing O(nodes) on the driver.  The
+    # relabelled triples feed three sinks, so they are materialized once.
     labels = connected_components(alias_edges_from_triples(triples))
     triples = canonicalize_ids_ds(triples, labels,
                                   ("subj_id", "obj_id")).materialize()
+    for table in ("triples", "quarantine", "nodes", "edges", "manifests"):
+        shutil.rmtree(os.path.join(out_dir, table), ignore_errors=True)
     # quarantine rows flow to their own sink; good rows to the graph
     good = triples.filter(expr="kind != 'quarantine' and kind != 'empty'")
     quarantine = triples.filter(expr="kind == 'quarantine'")
-    os.makedirs(os.path.join(out_dir, "quarantine"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "quarantine"))
     quarantine.write_parquet(os.path.join(out_dir, "quarantine"))
     # provenance-bearing triples table (url/sent-level lineage for every edge)
-    os.makedirs(os.path.join(out_dir, "triples"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "triples"))
     good.write_parquet(os.path.join(out_dir, "triples"))
 
-    nodes = build_nodes(good)
-    edges = build_edges(good)
-    manifests = write_graph(nodes, edges, out_dir)
+    manifests = write_graph(build_nodes(good), build_edges(good), out_dir)
     return {
         "out_dir": out_dir,
+        "shards": len(shards),
+        "shards_computed": computed,
         "node_partitions": len(manifests["nodes"]),
         "edge_partitions": len(manifests["edges"]),
         "nodes": sum(m["rows"] for m in manifests["nodes"]),

@@ -1,5 +1,5 @@
 """Graph materialization: deduplicated node and edge Parquet tables with
-per-partition lineage manifests and checkpoint-resume.
+per-partition lineage manifests.
 
 Output layout (north_rule: "resumable from checkpoint with per-partition
 lineage + metrics")::
@@ -7,11 +7,12 @@ lineage + metrics")::
     out/
       nodes/part=<k>/*.parquet
       edges/part=<k>/*.parquet
-      manifests/part=<k>.json     ← inputs, row counts, checksum
+      manifests/<table>-<k>.json  ← row count from the Parquet footers
       quarantine/*.parquet        ← parse/compose failures (rows are data)
 
-Resume: a partition whose manifest exists and matches is skipped; the
-caller anti-joins pending input shards against the manifest directory.
+Resume: nothing here skips work.  ``pipelines/kg.py::kg_full`` resumes
+from its landed triple shards (``stamp_manifest`` records each one) and
+always rebuilds and rewrites the graph from them.
 """
 
 from __future__ import annotations
@@ -200,8 +201,20 @@ def manifest_path(out_dir: str, part: str) -> str:
     return os.path.join(out_dir, "manifests", "%s.json" % part)
 
 
-def partition_done(out_dir: str, part: str) -> bool:
-    return os.path.exists(manifest_path(out_dir, part))
+def stamp_manifest(out_dir: str, part: str, table: str, data_dir: str,
+                   inputs=()) -> dict:
+    """Write ``out_dir/manifests/<part>.json`` atomically: the rows of the
+    Parquet footers under ``data_dir`` and the ``inputs`` it came from."""
+    rows = sum(pq.ParquetFile(os.path.join(data_dir, f)).metadata.num_rows
+               for f in os.listdir(data_dir) if f.endswith(".parquet"))
+    man = {"partition": part, "table": table, "rows": rows,
+           "inputs": list(inputs), "written_at": time.time()}
+    os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
+    mp = manifest_path(out_dir, part)
+    with open(mp + ".tmp", "w") as f:
+        json.dump(man, f)
+    os.replace(mp + ".tmp", mp)
+    return man
 
 
 def write_graph(nodes_ds, edges_ds, out_dir: str, num_parts: int = 8):
@@ -210,8 +223,9 @@ def write_graph(nodes_ds, edges_ds, out_dir: str, num_parts: int = 8):
     The partition column is computed inside ``map_batches`` and the write is
     Ray Data's distributed ``write_parquet(partition_cols=...)`` — the driver
     only stamps manifests afterwards from parquet footer metadata (no data
-    pulled to the driver)."""
-    os.makedirs(out_dir, exist_ok=True)
+    pulled to the driver).  The caller clears ``nodes/``, ``edges/`` and
+    ``manifests/`` first: a write into an existing table adds files beside
+    the old ones."""
 
     def add_part(key):
         def fn(batch: pa.Table) -> pa.Table:
@@ -233,41 +247,13 @@ def write_graph(nodes_ds, edges_ds, out_dir: str, num_parts: int = 8):
     for name, ds, key in (("nodes", nodes_ds, "entity_id"),
                           ("edges", edges_ds, "subj_id")):
         path = os.path.join(out_dir, name)
-        done = os.path.join(out_dir, "manifests", "%s._done" % name)
-        if os.path.exists(done):
-            # resume: this table finished in a previous run — skip the write
-            result[name] = [json.load(open(manifest_path(out_dir, m[:-5])))
-                            for m in sorted(os.listdir(os.path.join(out_dir, "manifests")))
-                            if m.startswith(name + "-") and m.endswith(".json")]
-            continue
-        if os.path.isdir(path):
-            # no _done marker but files exist → a previous run crashed
-            # mid-write; drop the partial table so the rewrite is clean
-            import shutil
-            shutil.rmtree(path)
         ds.map_batches(add_part(key), batch_format="pyarrow") \
           .write_parquet(path, partition_cols=["part"])
         os.makedirs(path, exist_ok=True)  # empty dataset writes nothing
-        manifests = []
-        for d in sorted(os.listdir(path)):
-            if not d.startswith("part="):
-                continue
-            part = "%s-%s" % (name, d.split("=", 1)[1])
-            rows = sum(pq.ParquetFile(os.path.join(path, d, f)).metadata.num_rows
-                       for f in os.listdir(os.path.join(path, d))
-                       if f.endswith(".parquet"))
-            man = {"partition": part, "table": name, "rows": rows,
-                   "inputs": [], "written_at": time.time()}
-            os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-            mp = manifest_path(out_dir, part)
-            with open(mp + ".tmp", "w") as f:
-                json.dump(man, f)
-            os.replace(mp + ".tmp", mp)
-            manifests.append(man)
-        os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-        with open(done, "w") as f:
-            f.write("ok")
-        result[name] = manifests
+        result[name] = [
+            stamp_manifest(out_dir, "%s-%s" % (name, d.split("=", 1)[1]),
+                           name, os.path.join(path, d))
+            for d in sorted(os.listdir(path)) if d.startswith("part=")]
     return result
 
 

@@ -1,14 +1,14 @@
 """Write-path soak with checkpoint-resume (VERDICT r4 next-round #6).
 
 The triple-count soak (scripts/soak_spill.py) exercises the compute
-path; this one drives the FULL write path at soak scale — sharded
-pages→triples with per-shard atomic landing + lineage manifests
-(kg_resumable), then the final graph aggregation through partitioned
-write_parquet with per-partition manifests (write_graph) — and proves
-resume: phase 1 runs in a subprocess that CRASHES after N shards,
-phase 2 re-invokes with the same out_dir in a fresh Ray session and
-must skip the landed shards (manifest anti-join) and finish with the
-same triple count a crash-free run produces.
+path; this one drives the FULL write path at soak scale — ``kg_full`` with ``num_shards``:
+sharded pages→triples with per-shard atomic landing + lineage manifests
+under ``<out>/landed/``, then canonicalization and the graph through
+partitioned write_parquet with per-partition manifests (write_graph) —
+and proves resume: phase 1 runs in a subprocess that CRASHES after N
+shards, phase 2 re-invokes with the same out_dir in a fresh Ray session
+and must compute only the shards that had not landed (a landed shard's
+manifest names the same input files) and finish.
 
 Usage: python scripts/soak_write.py [n_pages] [num_cpus] [num_shards]
                                     [fail_after]
@@ -33,14 +33,13 @@ ray.init(address="local", num_cpus=int(sys.argv[1]),
 import ray.data
 ray.data.DataContext.get_current().enable_progress_bars = False
 sys.path.insert(0, ".")
-from ie_ray.pipelines.kg import default_fixture_dir, kg_resumable
+from ie_ray.pipelines.kg import default_fixture_dir, kg_full
 fd = default_fixture_dir(n_pages=int(sys.argv[2]))
 fail_after = int(sys.argv[3]) or None
 t0 = time.time()
 try:
-    out = kg_resumable(fd, out_dir=sys.argv[4],
-                       num_shards=int(sys.argv[5]),
-                       _fail_after=fail_after)
+    out = kg_full(fd, out_dir=sys.argv[4], num_shards=int(sys.argv[5]),
+                  _fail_after=fail_after)
     out["wall_s"] = round(time.time() - t0, 1)
     print("RESULT " + json.dumps(out))
 except RuntimeError as e:
@@ -64,11 +63,13 @@ def _run_phase(cpus, n_pages, fail_after, out_dir, num_shards):
                      + proc.stderr[-2000:])
 
 
-def _extracted_count() -> int:
+def _landed_counts():
+    """(all rows, arg/aka/poss rows) of the landed triple shards."""
     import duckdb
     return duckdb.sql(
-        "SELECT count(*) FROM read_parquet('%s/triples/*/*.parquet') "
-        "WHERE kind IN ('arg','aka','poss')" % OUT_DIR).fetchone()[0]
+        "SELECT count(*), count(*) FILTER (WHERE kind IN "
+        "('arg','aka','poss')) FROM read_parquet("
+        "'%s/landed/triples/shard???/*.parquet')" % OUT_DIR).fetchone()
 
 
 def main():
@@ -82,19 +83,21 @@ def main():
     t0 = time.time()
     kind, crash = _run_phase(cpus, n_pages, fail_after, OUT_DIR, num_shards)
     assert kind == "CRASH", "phase 1 should simulate a crash: %r" % crash
-    landed = sorted(os.listdir(os.path.join(OUT_DIR, "manifests")))
+    landed = os.listdir(os.path.join(OUT_DIR, "landed", "manifests"))
 
     kind, resumed = _run_phase(cpus, n_pages, 0, OUT_DIR, num_shards)
     assert kind == "RESULT", resumed
     wall_total = round(time.time() - t0, 1)
+    triples, extracted = _landed_counts()
 
-    assert resumed["shards_skipped"] == fail_after, resumed
-    assert resumed["shards_computed"] == num_shards - fail_after, resumed
+    assert resumed["shards_computed"] == resumed["shards"] - fail_after, \
+        resumed
 
     # manifest accounting: every shard + every graph partition stamped
-    manifests = sorted(os.listdir(os.path.join(OUT_DIR, "manifests")))
-    shard_manifests = [m for m in manifests if m.startswith("triples-")]
-    gman = sorted(os.listdir(os.path.join(OUT_DIR, "graph", "manifests")))
+    shard_manifests = [m for m in os.listdir(
+        os.path.join(OUT_DIR, "landed", "manifests"))
+        if m.startswith("triples-")]
+    gman = os.listdir(os.path.join(OUT_DIR, "manifests"))
     node_manifests = [m for m in gman if m.startswith("nodes-")
                       and m.endswith(".json")]
     edge_manifests = [m for m in gman if m.startswith("edges-")
@@ -110,14 +113,15 @@ def main():
         "phase2_wall_s": resumed["wall_s"],
         "total_wall_s": wall_total,
         "shards_landed_before_crash": len(landed),
-        "shards_skipped_on_resume": resumed["shards_skipped"],
+        "shards_skipped_on_resume": (resumed["shards"]
+                                     - resumed["shards_computed"]),
         "shards_computed_on_resume": resumed["shards_computed"],
-        "triples": resumed["triples"],
-        # arg/aka/poss rows only — directly comparable to the
-        # compute-path soak's "triples extracted" number (the full row
-        # count above additionally includes quarantine/empty records,
-        # which the write path preserves as data)
-        "triples_extracted": _extracted_count(),
+        # all landed rows, then arg/aka/poss rows only — directly
+        # comparable to the compute-path soak's "triples extracted"
+        # number (the full count also holds the quarantine/empty
+        # records, which the write path preserves as data)
+        "triples": triples,
+        "triples_extracted": extracted,
         "nodes": resumed["nodes"],
         "edges": resumed["edges"],
         "shard_manifests": len(shard_manifests),

@@ -1,6 +1,7 @@
 """End-to-end Ray pipeline tests at small fixture scale."""
 
 import collections
+import glob
 import json
 import os
 import subprocess
@@ -78,24 +79,44 @@ def test_quarantine_rows_present(ray_session, fixture_dir):
     assert any(e == "too_long" for e in errs)
 
 
+def _rows(path):
+    import pyarrow.parquet as pq
+    return sum(pq.ParquetFile(f).metadata.num_rows
+               for f in glob.glob(os.path.join(path, "**", "*.parquet"),
+                                  recursive=True))
+
+
 def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path,
-                                dedup_shards_made):
+                                dedup_shards_made, monkeypatch):
     import ray
-    from ie_ray.pipelines.kg import kg_full
+    import ie_ray.pipelines.kg as kg
     out = str(tmp_path / "graph")
-    res = kg_full(fixture_dir, out_dir=out)
+    res = kg.kg_full(fixture_dir, out_dir=out)
     assert res["nodes"] > 0 and res["edges"] > 0
+    assert res["shards"] == res["shards_computed"] == 1
     assert os.path.isdir(os.path.join(out, "manifests"))
     mans = [m for m in os.listdir(os.path.join(out, "manifests"))
             if m.endswith(".json")]
     assert len(mans) == res["node_partitions"] + res["edge_partitions"]
     m = json.load(open(os.path.join(out, "manifests", mans[0])))
     assert m["rows"] >= 0 and "partition" in m
-    # resume: a second run must not duplicate output
-    res2 = kg_full(fixture_dir, out_dir=out)
+    tables = ("triples", "quarantine", "nodes", "edges")
+    rows = {t: _rows(os.path.join(out, t)) for t in tables}
+    assert rows["triples"] > 0 and rows["quarantine"] > 0
+    made = len(dedup_shards_made)
+    assert made >= 1
+
+    # a second run on the finished out_dir recomputes no triples, makes
+    # no dedup index and rewrites the same tables: no row is duplicated
+    def no_triples(*args, **kwargs):
+        raise AssertionError("kg_triples ran on a landed out_dir")
+    monkeypatch.setattr(kg, "kg_triples", no_triples)
+    res2 = kg.kg_full(fixture_dir, out_dir=out)
+    assert res2["shards_computed"] == 0
     assert res2["nodes"] == res["nodes"] and res2["edges"] == res["edges"]
-    # each run killed its own dedup shards on return
-    assert len(dedup_shards_made) >= 2
+    assert {t: _rows(os.path.join(out, t)) for t in tables} == rows
+    assert len(dedup_shards_made) == made
+    # the first run killed its dedup shards on return
     for shard in dedup_shards_made:
         with pytest.raises(ray.exceptions.RayActorError):
             ray.get(shard.size.remote(), timeout=60)
