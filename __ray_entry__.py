@@ -2617,8 +2617,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def kg_incremental(sf_dir):
         """Incremental graph maintenance: the fixture corpus arrives as
         two deltas merged into versioned mergeable state (label counts +
-        additive edge counts); returns the final edges table — identical
-        to a one-shot build (pinned by tests/test_graph_update.py)."""
+        additive edge counts) by the one-shot build's own count sum,
+        majority kernel and writer (stages/graph.py); returns the final
+        edges table — the rows build_edges gives over both deltas
+        (pinned against build_nodes/build_edges by
+        tests/test_graph_update.py)."""
         import tempfile
         from ie_ray.stages.graph_update import read_graph, update_graph
         fd = default_fixture_dir(n_pages=_sf_pages(sf_dir))
@@ -6431,9 +6434,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 rows.append((ty, med / 100.0, mad / 100.0, int(c.sum())))
             return pa.table({
                 "event_type": pa.array([r[0] for r in rows]),
-                "med": pa.array([round(r[1], 4) for r in rows],
+                "med": pa.array([_r4(r[1]) for r in rows],
                                 type=pa.float64()),
-                "mad": pa.array([round(r[2], 4) for r in rows],
+                "mad": pa.array([_r4(r[2]) for r in rows],
                                 type=pa.float64()),
                 "n": pa.array([r[3] for r in rows], type=pa.int64())})
 

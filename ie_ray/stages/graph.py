@@ -1,6 +1,21 @@
 """Graph materialization: deduplicated node and edge Parquet tables with
 per-partition lineage manifests.
 
+This module is the one owner of the graph's aggregation and write; the
+one-shot build (``build_nodes``/``build_edges``/``write_graph``) and the
+incremental one (``graph_update.update_graph``) share every piece:
+
+- Arrow partials, pre-combined inside each block: ``label_counts``
+  (entity_id, label, n), ``edge_counts`` (subj_id, pred, obj_id, n) and
+  ``type_votes`` (entity_id, etype, n);
+- one count sum, ``sum_counts`` (one bucketed exchange);
+- one majority kernel, ``majority`` (one bucketed exchange keyed on
+  entity_id: sum per (entity_id, value), then the top value by
+  (count desc, value desc)) — node labels and entity types.  A bucket
+  holds at most blocks × distinct values rows per entity;
+- one partitioned writer, ``write_partitioned`` (md5[:4] of the leading
+  id mod ``num_parts``, then ``stamp_manifest`` per partition).
+
 Output layout (north_rule: "resumable from checkpoint with per-partition
 lineage + metrics")::
 
@@ -28,91 +43,109 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 _EDGE_KINDS = pa.array(["arg", "aka", "poss"], type=pa.string())
+_NO_VOTE_KINDS = pa.array(["quarantine", "empty"], type=pa.string())
+
+
+# ---------------------------------------------------------------------------
+# shared aggregation: per-block Arrow partials, one sum, one majority
+# ---------------------------------------------------------------------------
+
+def label_counts(batch: pa.Table) -> pa.Table:
+    """(entity_id, label, n) for one block: both triple ends, null ids
+    dropped, a null label counted as ``""``, pre-combined by Arrow's
+    hash aggregation so a hot entity reduces to one row per distinct
+    label per block before any exchange."""
+    ends = pa.concat_tables([
+        pa.table({"entity_id": batch.column("subj_id"),
+                  "label": batch.column("subj")}),
+        pa.table({"entity_id": batch.column("obj_id"),
+                  "label": batch.column("obj")})])
+    ends = ends.filter(pc.is_valid(ends.column("entity_id")))
+    ends = ends.set_column(1, "label",
+                           pc.fill_null(ends.column("label"), ""))
+    g = ends.group_by(["entity_id", "label"]).aggregate(
+        [([], "count_all")])
+    return g.rename_columns(["entity_id", "label", "n"])
+
+
+def edge_counts(batch: pa.Table) -> pa.Table:
+    """(subj_id, pred, obj_id, n) for one block: arg/aka/poss rows with
+    both ends set, pre-combined per block like :func:`label_counts`."""
+    mask = pc.and_(
+        pc.and_(pc.is_valid(batch.column("subj_id")),
+                pc.is_valid(batch.column("obj_id"))),
+        pc.is_in(batch.column("kind"), value_set=_EDGE_KINDS))
+    g = batch.filter(mask).group_by(["subj_id", "pred", "obj_id"]) \
+        .aggregate([([], "count_all")])
+    return g.rename_columns(["subj_id", "pred", "obj_id", "n"])
+
+
+def sum_counts(counts_ds, keys):
+    """Sum ``n`` per ``keys`` over every block: one bucketed exchange
+    (the key domains are graph-sized, where Ray's sort groupby pays
+    per-group Python cost).  Columns: ``keys`` then ``n`` (int64)."""
+    from ie_ray.stages.relational import bucketed_aggregate
+
+    def rename(t: pa.Table) -> pa.Table:
+        cols = {k: t.column(k) for k in keys}
+        cols["n"] = t.column("n_sum").cast(pa.int64())
+        return pa.table(cols)
+
+    return bucketed_aggregate(counts_ds, keys, [("n", "sum")]) \
+        .map_batches(rename, batch_format="pyarrow")
+
+
+def majority(counts_ds, value: str, total: str):
+    """(entity_id, ``value``, ``total``): per entity, the ``value`` with
+    the largest summed ``n`` (ties: the larger value) and the sum of all
+    its ``n``.
+
+    ONE bucketed exchange keyed on entity_id: every row of an entity
+    lands in one bucket, where one polars pass first sums ``n`` per
+    (entity_id, value) — the input may hold one partial row per block —
+    and then takes the top row.  A bucket holds at most blocks ×
+    distinct values rows per entity, not its mention count."""
+    from ie_ray.stages.relational import bucketed_map_groups
+
+    def kernel(g: pa.Table) -> pa.Table:
+        import polars as pl
+        out = (pl.from_arrow(g)
+               .group_by(["entity_id", value]).agg(pl.col("n").sum())
+               .group_by("entity_id").agg(
+                   pl.col(value).sort_by(["n", value],
+                                         descending=[True, True]).first(),
+                   pl.col("n").sum().alias(total))
+               .to_arrow())
+        return pa.table({
+            "entity_id": out.column("entity_id").cast(pa.string()),
+            value: out.column(value).cast(pa.string()),
+            total: out.column(total).cast(pa.int64())})
+
+    return bucketed_map_groups(counts_ds, "entity_id", kernel)
 
 
 def build_edges(triples_ds):
-    """(subj_id, pred, obj_id) → deduplicated with counts.
-
-    Counts pre-combine inside each block (Arrow C++ hash aggregation),
-    so a hot entity's billions of mentions reduce to one row per
-    (block × key) before the exchange; the global sum then runs through
-    the bucketed path because the distinct-triple key domain is
-    corpus-sized.
-    """
-    def prep(batch: pa.Table) -> pa.Table:
-        mask = pc.and_(
-            pc.and_(pc.is_valid(batch.column("subj_id")),
-                    pc.is_valid(batch.column("obj_id"))),
-            pc.is_in(batch.column("kind"), value_set=_EDGE_KINDS))
-        return batch.filter(mask).select(["subj_id", "pred", "obj_id"])
-
-    def block_counts(t: pa.Table) -> pa.Table:
-        # pre-combine per block (Arrow C++ hash agg) so a hot entity's
-        # mentions reduce to one row per (block × key) before the shuffle
-        g = t.group_by(["subj_id", "pred", "obj_id"]).aggregate(
-            [("pred", "count")])
-        return g.rename_columns(["subj_id", "pred", "obj_id", "n"])
-
-    from ie_ray.stages.relational import bucketed_aggregate
-    prepped = triples_ds.map_batches(prep, batch_format="pyarrow") \
-        .map_batches(block_counts, batch_format="pyarrow")
-    # the distinct-triple key domain is corpus-sized — sum through the
-    # bucketed path (Ray's sort groupby pays per-group Python cost there)
-    return bucketed_aggregate(
-        prepped, ["subj_id", "pred", "obj_id"], [("n", "sum")]) \
-        .map_batches(lambda t: pa.table({
-            "subj_id": t.column("subj_id"), "pred": t.column("pred"),
-            "obj_id": t.column("obj_id"),
-            "n": t.column("n_sum").cast(pa.int64())}),
-            batch_format="pyarrow")
+    """(subj_id, pred, obj_id) → deduplicated with counts: per-block
+    :func:`edge_counts`, then one :func:`sum_counts` exchange."""
+    return sum_counts(
+        triples_ds.map_batches(edge_counts, batch_format="pyarrow"),
+        ["subj_id", "pred", "obj_id"])
 
 
 def build_nodes(triples_ds):
     """Distinct entities with mention counts and the majority surface form.
 
-    Skew-safe two-stage aggregation: mentions are pre-counted per
-    (entity_id, label) INSIDE each batch before any shuffle, so a hot entity
-    that appears on billions of pages reduces to one row per distinct label
-    per block — the per-entity group the final reduce sees is bounded by the
-    number of distinct surface forms, not the mention count (the "salted
-    hot key" requirement of the north rule, SURVEY.md §4).
+    Skew-safe in one exchange: mentions are pre-counted per
+    (entity_id, label) INSIDE each block (:func:`label_counts`), so a hot
+    entity that appears on billions of pages reduces to one row per
+    distinct label per block, and :func:`majority` buckets those partials
+    on entity_id alone — its bucket holds at most blocks × distinct labels
+    rows per entity, not the mention count (the "salted hot key"
+    requirement of the north rule, SURVEY.md §4).
     """
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        ends = pa.concat_tables([
-            pa.table({"entity_id": batch.column("subj_id"),
-                      "label": batch.column("subj")}),
-            pa.table({"entity_id": batch.column("obj_id"),
-                      "label": batch.column("obj")})])
-        ends = ends.filter(pc.is_valid(ends.column("entity_id")))
-        ends = ends.set_column(1, "label",
-                               pc.fill_null(ends.column("label"), ""))
-        g = ends.group_by(["entity_id", "label"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["entity_id", "label", "n"])
-
-    from ie_ray.stages.relational import (bucketed_aggregate,
-                                          bucketed_map_groups)
-    per_label = bucketed_aggregate(
-        triples_ds.map_batches(partial_counts, batch_format="pyarrow"),
-        ["entity_id", "label"], [("n", "sum")])
-
-    def bucket_nodes(g: pa.Table) -> pa.Table:
-        # vectorized per-bucket argmax: best label = max (count, label),
-        # identical tie-break to the previous per-group reducer
-        import polars as pl
-        df = pl.from_arrow(g)
-        out = df.group_by("entity_id").agg(
-            pl.col("label").sort_by(["n_sum", "label"],
-                                    descending=[True, True]).first()
-            .alias("label"),
-            pl.col("n_sum").sum().alias("mentions"))
-        t = out.to_arrow()
-        return pa.table({
-            "entity_id": t.column("entity_id").cast(pa.string()),
-            "label": t.column("label").cast(pa.string()),
-            "mentions": t.column("mentions").cast(pa.int64())})
-
-    return bucketed_map_groups(per_label, "entity_id", bucket_nodes)
+    return majority(
+        triples_ds.map_batches(label_counts, batch_format="pyarrow"),
+        "label", "mentions")
 
 
 _ORG_SUFFIXES = {"Corp", "Corp.", "Inc", "Inc.", "Ltd", "Ltd.", "Co",
@@ -137,60 +170,37 @@ def _mention_type(label: str) -> str:
     return "other"
 
 
+def type_votes(batch: pa.Table) -> pa.Table:
+    """(entity_id, etype, n) for one block: every mention of a row whose
+    ``kind`` is not ``quarantine``/``empty`` (a null kind votes) casts
+    the vote of its surface form.  :func:`_mention_type` runs once per
+    distinct label of the block's dictionary, not once per row."""
+    keep = pc.invert(pc.is_in(batch.column("kind"),
+                              value_set=_NO_VOTE_KINDS))
+    labels = label_counts(batch.filter(keep))
+    enc = labels.column("label").combine_chunks().dictionary_encode()
+    types = pa.array([_mention_type(s) for s in enc.dictionary.to_pylist()],
+                     type=pa.string())
+    votes = pa.table({"entity_id": labels.column("entity_id"),
+                      "etype": types.take(enc.indices),
+                      "n": labels.column("n")})
+    g = votes.group_by(["entity_id", "etype"]).aggregate([("n", "sum")])
+    return g.rename_columns(["entity_id", "etype", "n"])
+
+
 def type_entities(triples_ds):
     """(entity_id, etype, evidence) — majority-vote entity typing over
     every mention in the triple stream.
 
-    Same skew discipline as :func:`build_nodes`: votes are pre-counted
-    per (entity_id, etype) INSIDE each block, so a hot entity's 10^9
-    mentions reduce to ≤ 4 rows per block, and the final per-entity
-    group is bounded by the number of types, not the mention count.
+    Same shape as :func:`build_nodes`: votes are pre-counted per
+    (entity_id, etype) INSIDE each block (:func:`type_votes`), so a hot
+    entity's 10^9 mentions reduce to ≤ 4 rows per block, and the one
+    :func:`majority` exchange sees at most blocks × 4 rows per entity.
     Ties break deterministically (higher count, then type name).
     """
-
-    def votes(batch: pa.Table) -> pa.Table:
-        counts: dict = {}
-        for sid, s, oid, o, k in zip(batch.column("subj_id").to_pylist(),
-                                     batch.column("subj").to_pylist(),
-                                     batch.column("obj_id").to_pylist(),
-                                     batch.column("obj").to_pylist(),
-                                     batch.column("kind").to_pylist()):
-            if k in ("quarantine", "empty"):
-                continue
-            if sid is not None:
-                key = (sid, _mention_type(s or ""))
-                counts[key] = counts.get(key, 0) + 1
-            if oid is not None:
-                key = (oid, _mention_type(o or ""))
-                counts[key] = counts.get(key, 0) + 1
-        keys = sorted(counts)
-        return pa.table({
-            "entity_id": pa.array([k[0] for k in keys], type=pa.string()),
-            "etype": pa.array([k[1] for k in keys], type=pa.string()),
-            "n": pa.array([counts[k] for k in keys], type=pa.int64()),
-        })
-
-    from ie_ray.stages.relational import (bucketed_aggregate,
-                                          bucketed_map_groups)
-    per_type = bucketed_aggregate(
-        triples_ds.map_batches(votes, batch_format="pyarrow"),
-        ["entity_id", "etype"], [("n", "sum")])
-
-    def bucket_decide(g: pa.Table) -> pa.Table:
-        import polars as pl
-        df = pl.from_arrow(g)
-        out = df.group_by("entity_id").agg(
-            pl.col("etype").sort_by(["n_sum", "etype"],
-                                    descending=[True, True]).first()
-            .alias("etype"),
-            pl.col("n_sum").sum().alias("evidence"))
-        t = out.to_arrow()
-        return pa.table({
-            "entity_id": t.column("entity_id").cast(pa.string()),
-            "etype": t.column("etype").cast(pa.string()),
-            "evidence": t.column("evidence").cast(pa.int64())})
-
-    return bucketed_map_groups(per_type, "entity_id", bucket_decide)
+    return majority(
+        triples_ds.map_batches(type_votes, batch_format="pyarrow"),
+        "etype", "evidence")
 
 
 # ---------------------------------------------------------------------------
@@ -217,44 +227,48 @@ def stamp_manifest(out_dir: str, part: str, table: str, data_dir: str,
     return man
 
 
-def write_graph(nodes_ds, edges_ds, out_dir: str, num_parts: int = 8):
-    """Write node/edge tables hash-partitioned by the leading id.
+def write_partitioned(ds, key: str, out_dir: str, name: str,
+                      num_parts: int) -> list:
+    """Write ``ds`` to ``out_dir/<name>/part=<k>/`` with k = md5[:4] of
+    ``key`` mod ``num_parts``, then stamp ``manifests/<name>-<k>.json``
+    per partition; returns the manifests.
 
-    The partition column is computed inside ``map_batches`` and the write is
-    Ray Data's distributed ``write_parquet(partition_cols=...)`` — the driver
-    only stamps manifests afterwards from parquet footer metadata (no data
-    pulled to the driver).  The caller clears ``nodes/``, ``edges/`` and
-    ``manifests/`` first: a write into an existing table adds files beside
-    the old ones."""
+    The partition column is computed inside ``map_batches`` and the write
+    is Ray Data's distributed ``write_parquet(partition_cols=...)`` — the
+    driver only reads Parquet footers afterwards (no data pulled to the
+    driver)."""
 
-    def add_part(key):
-        def fn(batch: pa.Table) -> pa.Table:
-            # md5 paid once per DISTINCT id (hub entities repeat across
-            # millions of rows) — dictionary-encode, hash uniques, gather
-            import numpy as np
-            enc = batch.column(key).combine_chunks().dictionary_encode()
-            uniq = np.fromiter(
-                (int(hashlib.md5(s.encode()).hexdigest()[:4], 16)
-                 % num_parts for s in enc.dictionary.to_pylist()),
-                dtype=np.int32, count=len(enc.dictionary))
-            parts = uniq[np.asarray(enc.indices, dtype=np.int64)] \
-                if len(uniq) else np.empty(0, dtype=np.int32)
-            return batch.append_column(
-                "part", pa.array(parts, type=pa.int32()))
-        return fn
+    def add_part(batch: pa.Table) -> pa.Table:
+        # md5 paid once per DISTINCT id (hub entities repeat across
+        # millions of rows) — dictionary-encode, hash uniques, gather
+        import numpy as np
+        enc = batch.column(key).combine_chunks().dictionary_encode()
+        uniq = np.fromiter(
+            (int(hashlib.md5(s.encode()).hexdigest()[:4], 16) % num_parts
+             for s in enc.dictionary.to_pylist()),
+            dtype=np.int32, count=len(enc.dictionary))
+        parts = uniq[np.asarray(enc.indices, dtype=np.int64)] \
+            if len(uniq) else np.empty(0, dtype=np.int32)
+        return batch.append_column("part", pa.array(parts, type=pa.int32()))
 
-    result = {}
-    for name, ds, key in (("nodes", nodes_ds, "entity_id"),
-                          ("edges", edges_ds, "subj_id")):
-        path = os.path.join(out_dir, name)
-        ds.map_batches(add_part(key), batch_format="pyarrow") \
-          .write_parquet(path, partition_cols=["part"])
-        os.makedirs(path, exist_ok=True)  # empty dataset writes nothing
-        result[name] = [
-            stamp_manifest(out_dir, "%s-%s" % (name, d.split("=", 1)[1]),
+    path = os.path.join(out_dir, name)
+    ds.map_batches(add_part, batch_format="pyarrow") \
+      .write_parquet(path, partition_cols=["part"])
+    os.makedirs(path, exist_ok=True)  # empty dataset writes nothing
+    return [stamp_manifest(out_dir, "%s-%s" % (name, d.split("=", 1)[1]),
                            name, os.path.join(path, d))
             for d in sorted(os.listdir(path)) if d.startswith("part=")]
-    return result
+
+
+def write_graph(nodes_ds, edges_ds, out_dir: str, num_parts: int = 8):
+    """Write node/edge tables hash-partitioned by the leading id
+    (:func:`write_partitioned`).  The caller clears ``nodes/``,
+    ``edges/`` and ``manifests/`` first: a write into an existing table
+    adds files beside the old ones."""
+    return {"nodes": write_partitioned(nodes_ds, "entity_id", out_dir,
+                                       "nodes", num_parts),
+            "edges": write_partitioned(edges_ds, "subj_id", out_dir,
+                                       "edges", num_parts)}
 
 
 def co_mention_pairs(triples_ds, k: int = 50):
@@ -322,12 +336,16 @@ def khop_subgraph(edges_ds, seeds, hops: int = 2):
     count ≤ ~3 and frontier must fit a worker — on a web graph a hub
     in the frontier explodes hop 2; callers cap degree upstream
     (``build_edges`` already pre-counts, so a degree filter is one
-    predicate).  Returns the deduplicated touched edge rows.
+    predicate).  Returns the deduplicated touched edge rows: an edge
+    picked up on several hops is kept once, through one bucketed
+    exchange keyed on ``subj_id`` (every copy of a row shares its
+    subj_id, so all copies meet in one bucket; the touched edge set may
+    be graph-sized, so no single reducer task).
     """
     import numpy as np
     import ray
 
-    from ie_ray.stages.relational import lowcard_combine
+    from ie_ray.stages.relational import bucketed_map_groups, lowcard_combine
 
     edges = edges_ds.materialize()   # probed once per hop
     visited = np.unique(np.asarray(list(seeds), dtype=object))
@@ -376,10 +394,9 @@ def khop_subgraph(edges_ds, seeds, hops: int = 2):
     out = touched[0]
     for extra in touched[1:]:
         out = out.union(extra)
-    # dedup rows picked up on multiple hops
     cols = edges_ds.schema(fetch_if_missing=True).names
 
     def dedup(t: pa.Table) -> pa.Table:
         return t.group_by(cols).aggregate([]).select(cols)
 
-    return lowcard_combine(out, dedup)
+    return bucketed_map_groups(out, "subj_id", dedup)

@@ -1,23 +1,34 @@
 """Incremental knowledge-graph maintenance: merge new pages into an
 existing graph without recomputing history.
 
-The graph state is kept in MERGEABLE form — per-(entity, label) mention
-counts and per-(subj, pred, obj) edge counts — because both are
-associative sums: ``state(A ∪ B) == combine(state(A), state(B))``.  The
-display ``nodes`` table (majority surface form) is a VIEW derived from
-the label counts, never merged directly (majorities don't compose;
-label counts do).
+This module owns only the versioning; every count, majority and write
+is the one-shot build's own (``stages/graph.py``).  The graph state is
+kept in MERGEABLE form — per-(entity, label) mention counts and
+per-(subj, pred, obj) edge counts — because both are associative sums:
+``state(A ∪ B) == combine(state(A), state(B))``.  The display ``nodes``
+table (majority surface form) is a VIEW derived from the label counts,
+never merged directly (majorities don't compose; label counts do).
 
-Update = ``union(state, delta-partials) → groupby().sum()`` — one
-bounded exchange per table, the exact aggregation the initial build
-runs, so incremental and from-scratch results are identical (pinned by
-``tests/test_graph_update.py``).  Writes are versioned directories with
-an atomically-replaced CURRENT pointer: a crashed update leaves the
-previous version intact and visible (checkpoint-resume per the north
-rule).  At 10^12-document scale, deltas touch a subset of hash
-partitions — filter the state read to touched partitions to make the
-rewrite proportional to the delta, not the corpus (the layout already
-hash-partitions by leading id).
+Update = ``union(state, delta partials)`` → ``graph.sum_counts`` — one
+bucketed exchange per table, the sum ``build_edges`` runs — and the node
+view is ``graph.majority``, the kernel ``build_nodes`` runs, so two
+deltas give the rows ``build_nodes``/``build_edges`` give over their
+union (pinned by ``tests/test_graph_update.py``).  Writes go through
+``graph.write_partitioned`` into a versioned directory::
+
+    out/
+      CURRENT                    ← "vN", replaced atomically
+      vN/node_labels/part=<k>/   ← state: (entity_id, label, n)
+      vN/edges/part=<k>/         ← state: (subj_id, pred, obj_id, n)
+      vN/nodes/part=<k>/         ← view: (entity_id, label, mentions)
+      vN/manifests/<table>-<k>.json
+      vN/manifest.json           ← version + per-table rows
+
+A crashed update leaves the previous version intact and visible
+(checkpoint-resume per the north rule).  At 10^12-document scale,
+deltas touch a subset of hash partitions — filter the state read to
+touched partitions to make the rewrite proportional to the delta, not
+the corpus (the layout already hash-partitions by leading id).
 
 Parity: the reference recomputes its graph from scratch per run
 (``aws/__init__.py`` newsreader loop); incremental maintenance is a new
@@ -28,56 +39,15 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from typing import Optional
 
-import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
+from ie_ray.stages.graph import (edge_counts, label_counts, majority,
+                                 sum_counts, write_partitioned)
 
-# ---------------------------------------------------------------------------
-# delta extraction (partial, pre-combined per block — skew-safe)
-# ---------------------------------------------------------------------------
-
-def _label_partials(batch: pa.Table) -> pa.Table:
-    counts: dict = {}
-    for sid, s, oid, o in zip(batch.column("subj_id").to_pylist(),
-                              batch.column("subj").to_pylist(),
-                              batch.column("obj_id").to_pylist(),
-                              batch.column("obj").to_pylist()):
-        if sid is not None:
-            counts[(sid, s or "")] = counts.get((sid, s or ""), 0) + 1
-        if oid is not None:
-            counts[(oid, o or "")] = counts.get((oid, o or ""), 0) + 1
-    keys = sorted(counts)
-    return pa.table({
-        "entity_id": pa.array([k[0] for k in keys], type=pa.string()),
-        "label": pa.array([k[1] for k in keys], type=pa.string()),
-        "n": pa.array([counts[k] for k in keys], type=pa.int64()),
-    })
-
-
-def _edge_partials(batch: pa.Table) -> pa.Table:
-    counts: dict = {}
-    for s, p, o, k in zip(batch.column("subj_id").to_pylist(),
-                          batch.column("pred").to_pylist(),
-                          batch.column("obj_id").to_pylist(),
-                          batch.column("kind").to_pylist()):
-        if s is not None and o is not None and k in ("arg", "aka", "poss"):
-            counts[(s, p, o)] = counts.get((s, p, o), 0) + 1
-    keys = sorted(counts)
-    return pa.table({
-        "subj_id": pa.array([k[0] for k in keys], type=pa.string()),
-        "pred": pa.array([k[1] for k in keys], type=pa.string()),
-        "obj_id": pa.array([k[2] for k in keys], type=pa.string()),
-        "n": pa.array([counts[k] for k in keys], type=pa.int64()),
-    })
-
-
-# ---------------------------------------------------------------------------
-# versioned state directory
-# ---------------------------------------------------------------------------
 
 def _current_version(out_dir: str) -> Optional[str]:
     cur = os.path.join(out_dir, "CURRENT")
@@ -97,95 +67,42 @@ def _read_state(out_dir: str, version: str, name: str):
         else t, batch_format="pyarrow")
 
 
-def _sum_merge(ds, keys, out_names):
-    # entity/edge key domains are graph-sized — bucketed reduce
-    from ie_ray.stages.relational import bucketed_aggregate
-    merged = bucketed_aggregate(ds, keys, [("n", "sum")])
-    return merged.map_batches(lambda t: t.rename_columns(out_names),
-                              batch_format="pyarrow")
-
-
-def _node_view(label_counts_ds):
-    """Majority surface form + total mentions, derived per entity."""
-    from ie_ray.stages.relational import bucketed_map_groups
-
-    def bucket_best(g: pa.Table) -> pa.Table:
-        # vectorized per-bucket argmax, same (count, label) tie-break as
-        # the previous per-group reducer
-        import polars as pl
-        out = pl.from_arrow(g).group_by("entity_id").agg(
-            pl.col("label").sort_by(["n", "label"],
-                                    descending=[True, True]).first()
-            .alias("label"),
-            pl.col("n").sum().alias("mentions")).to_arrow()
-        return pa.table({
-            "entity_id": out.column("entity_id").cast(pa.string()),
-            "label": out.column("label").cast(pa.string()),
-            "mentions": out.column("mentions").cast(pa.int64())})
-
-    return bucketed_map_groups(label_counts_ds, "entity_id", bucket_best)
-
-
 def update_graph(out_dir: str, delta_triples_ds,
                  num_parts: int = 8) -> dict:
     """Merge a delta triples Dataset into the graph state at ``out_dir``.
 
-    Returns the new version's manifest (version id + row counts).  Safe
-    to re-run after a crash: the previous version stays CURRENT until
-    the new one is complete.
+    Returns the new version's manifest (version id + row counts, taken
+    from the stamped per-partition manifests).  Safe to re-run after a
+    crash: the previous version stays CURRENT until the new one is
+    complete.
     """
     os.makedirs(out_dir, exist_ok=True)
-    delta_labels = delta_triples_ds.map_batches(_label_partials,
-                                                batch_format="pyarrow")
-    delta_edges = delta_triples_ds.map_batches(_edge_partials,
-                                               batch_format="pyarrow")
+    labels = delta_triples_ds.map_batches(label_counts,
+                                          batch_format="pyarrow")
+    edges = delta_triples_ds.map_batches(edge_counts, batch_format="pyarrow")
     cur = _current_version(out_dir)
     if cur is not None:
-        delta_labels = _read_state(out_dir, cur, "node_labels") \
-            .union(delta_labels)
-        delta_edges = _read_state(out_dir, cur, "edges").union(delta_edges)
-    labels = _sum_merge(delta_labels, ["entity_id", "label"],
-                        ["entity_id", "label", "n"])
-    edges = _sum_merge(delta_edges, ["subj_id", "pred", "obj_id"],
-                       ["subj_id", "pred", "obj_id", "n"])
+        labels = _read_state(out_dir, cur, "node_labels").union(labels)
+        edges = _read_state(out_dir, cur, "edges").union(edges)
+    # labels feed both the state and the node view — materialize once
+    labels = sum_counts(labels, ["entity_id", "label"]).materialize()
+    edges = sum_counts(edges, ["subj_id", "pred", "obj_id"])
 
     version = "v%d" % (int(cur[1:]) + 1 if cur else 1)
     vdir = os.path.join(out_dir, version)
     if os.path.isdir(vdir):
         # unpublished leftovers from a crashed attempt — stale files must
         # not mix with the rewrite
-        import shutil
         shutil.rmtree(vdir)
-    import hashlib as _hl
-
-    def add_part(key):
-        def fn(batch: pa.Table) -> pa.Table:
-            parts = [int(_hl.md5(k.encode()).hexdigest()[:4], 16) % num_parts
-                     for k in batch.column(key).to_pylist()]
-            return batch.append_column("part",
-                                       pa.array(parts, type=pa.int32()))
-        return fn
-
-    manifest = {"version": version, "written_at": time.time(), "tables": {}}
-    # labels must be written (consumed twice: state + node view) —
-    # materialize once, write, then derive the view from the SAME data
-    labels = labels.materialize()
-    for name, ds, key in (("node_labels", labels, "entity_id"),
-                          ("edges", edges, "subj_id")):
-        path = os.path.join(vdir, name)
-        ds.map_batches(add_part(key), batch_format="pyarrow") \
-            .write_parquet(path, partition_cols=["part"])
-        os.makedirs(path, exist_ok=True)
-        rows = 0
-        for root, _dirs, files in os.walk(path):
-            rows += sum(pq.ParquetFile(os.path.join(root, f)).metadata.num_rows
-                        for f in files if f.endswith(".parquet"))
-        manifest["tables"][name] = rows
-    nodes_path = os.path.join(vdir, "nodes")
-    _node_view(labels).map_batches(add_part("entity_id"),
-                                   batch_format="pyarrow") \
-        .write_parquet(nodes_path, partition_cols=["part"])
-    os.makedirs(nodes_path, exist_ok=True)
+    tables = {}
+    for name, ds, key in (
+            ("node_labels", labels, "entity_id"),
+            ("edges", edges, "subj_id"),
+            ("nodes", majority(labels, "label", "mentions"), "entity_id")):
+        tables[name] = sum(m["rows"] for m in write_partitioned(
+            ds, key, vdir, name, num_parts))
+    manifest = {"version": version, "written_at": time.time(),
+                "tables": tables}
     with open(os.path.join(vdir, "manifest.json"), "w") as f:
         json.dump(manifest, f)
     # atomic publish: CURRENT flips only after the version is complete
