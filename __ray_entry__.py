@@ -2621,7 +2621,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         majority kernel and writer (stages/graph.py); returns the final
         edges table — the rows build_edges gives over both deltas
         (pinned against build_nodes/build_edges by
-        tests/test_graph_update.py)."""
+        tests/test_graph_update.py).  The versioned state lives in a
+        temporary directory that is removed once the edges are
+        materialized."""
+        import shutil
         import tempfile
         from ie_ray.stages.graph_update import read_graph, update_graph
         fd = default_fixture_dir(n_pages=_sf_pages(sf_dir))
@@ -2636,9 +2639,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return fn
 
         out = tempfile.mkdtemp(prefix="kg_inc_", dir="/tmp")
-        update_graph(out, good.map_batches(half(0), batch_format="pyarrow"))
-        update_graph(out, good.map_batches(half(1), batch_format="pyarrow"))
-        return read_graph(out, "edges")
+        try:
+            update_graph(out, good.map_batches(half(0),
+                                               batch_format="pyarrow"))
+            update_graph(out, good.map_batches(half(1),
+                                               batch_format="pyarrow"))
+            return read_graph(out, "edges").materialize()
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
 
     def kg_canonical_edges(sf_dir):
         """Full canonicalization path: triples → _AKA alias edges →
@@ -3447,7 +3455,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def kg_khop2(sf_dir):
         """2-hop neighborhood subgraph around the two highest-degree
-        canonical entities (deterministic seeds: row-count degree,
+        entities of ``kg_edges`` (entity ids as linked, before alias
+        canonicalization; deterministic seeds: row-count degree,
         lexicographic tie-break) — the KG-serving expand primitive;
         each hop is one broadcast-frontier streaming probe of the edge
         set, no edge exchange (stages/graph.py::khop_subgraph).
@@ -3460,18 +3469,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def kg_ppr_top20(sf_dir):
         """Personalized PageRank around the two highest-degree
-        canonical entities (Haveliwala 2002 — the KG relevance
-        ranking): teleport restarts at the seeds, so mass concentrates
-        in their neighborhood; same one-join+one-groupby loop as
-        kg_pagerank with a broadcast seed-indicator teleport term.
-        Iterative — no SQL oracle; dense NumPy twin + locality gate in
-        tests/test_pagerank.py."""
+        entities of ``kg_edges`` (entity ids as linked, before alias
+        canonicalization; Haveliwala 2002 — the KG relevance ranking):
+        teleport restarts at the seeds, so mass concentrates in their
+        neighborhood; the same ``pagerank`` as kg_pagerank with its
+        ``seeds``.  Iterative — no SQL oracle; dense NumPy twin +
+        locality gate in tests/test_pagerank.py."""
         import pyarrow.compute as pc
-        from ie_ray.stages.pagerank import pagerank_personalized
+        from ie_ray.stages.pagerank import pagerank
 
         edges = kg_edges(sf_dir).materialize()
-        pr = pagerank_personalized(edges, _top_degree_seeds(edges),
-                                   iters=5)
+        pr = pagerank(edges, iters=5, seeds=_top_degree_seeds(edges))
 
         def rnd(t: pa.Table) -> pa.Table:
             return pa.table({
@@ -3483,8 +3491,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 .limit(20))
 
     def kg_pagerank(sf_dir):
-        """PageRank over the canonical KG edge set: 5 rounds of
-        hash-join + groupby with the rank table materialized in the
+        """PageRank over the ``kg_edges`` edge set (entity ids as
+        linked, before alias canonicalization): 5 rounds of adaptive
+        join + bucketed sum with the rank table materialized in the
         object store between rounds (never on the driver).  Iterative —
         no SQL oracle; verified against a NumPy twin in
         tests/test_pagerank.py."""
@@ -6564,10 +6573,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def lineitem_semi_urgent(sf_dir):
         """Runtime-filter semi-join (the MPP Bloom pushdown): lineitems
         of URGENT-priority orders via a broadcast Bloom prefilter +
-        exact verify — ie_ray/stages/bloom.py.  The bitmap is built
-        distributed (tree-OR), broadcast once, and drops non-matching
-        probe rows before any exchange; the exact key verify kills the
-        ≤FPR false-positive tail, so the composition is exact."""
+        exact verify — ie_ray/stages/bloom.py.  The distinct urgent
+        keys are reduced distributed and pulled once; the driver builds
+        the bitmap from them and broadcasts both, and the bitmap drops
+        non-matching probe rows before any exchange; the exact key
+        verify kills the ≤FPR false-positive tail, so the composition
+        is exact."""
         import pyarrow.compute as pc
         from ie_ray.stages.bloom import bloom_semi_join
 

@@ -152,9 +152,10 @@ def bloom_semi_join(left, right, on: str,
     """EXACT semi-join (left rows whose ``on`` appears in right):
     bloom prefilter + broadcast exact verify of the survivors.
 
-    The bloom is built distributed from the right side and broadcast
-    once; every left block drops non-members with one vectorized
-    probe, zero exchange.  The exact key set then kills the ≤FPR
+    The distinct right keys are reduced distributed and pulled once;
+    the bloom is built from them on the driver and broadcast once;
+    every left block drops non-members with one vectorized probe,
+    zero exchange.  The exact key set then kills the ≤FPR
     false-positive tail.  Verify-side contract: the DISTINCT right
     key set must fit a worker (sorted int64, 8 B/key — 10⁸ keys =
     800 MB; beyond that, replace the verify stage with the hash

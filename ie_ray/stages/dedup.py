@@ -14,9 +14,10 @@ Scale notes (the 100 TB contract):
 
 * Band/bucket rows carry ONLY ``(bucket, doc_id)`` — never the signature or
   the payload.  Candidate pairs are deduplicated first (16-byte rows), then
-  signatures / texts / embeddings are attached via hash joins
-  (``Dataset.join``), so each payload crosses the network O(1) times instead
-  of once per band.
+  signatures / texts / embeddings are attached via
+  ``relational.adaptive_join`` (a broadcast built by each worker from the
+  payload's block refs while it is small, a hash exchange beyond), so each
+  payload crosses the network O(1) times instead of once per band.
 * Pair verification is exact and happens per joined row — vectorized where
   the payload allows.
 * Hot buckets (boilerplate shingles) are capped at ``MAX_BUCKET`` docs —
@@ -221,14 +222,16 @@ def lsh_candidate_pairs(sigs, num_perm: int = 64, bands: int = 16):
 
 def _attach(pairs, source, key_col: str, payload_col: str, out_col: str,
             num_partitions: int = NUM_JOIN_PARTITIONS):
-    """Hash-join ``payload_col`` of ``source`` (keyed by doc_id) onto
-    ``pairs`` as ``out_col`` — the payload crosses the exchange once."""
+    """Join ``payload_col`` of ``source`` (keyed by doc_id) onto
+    ``pairs`` as ``out_col`` through ``relational.adaptive_join``: a
+    broadcast while the source is small, a hash exchange beyond — the
+    payload crosses the network once either way."""
+    from .relational import adaptive_join
     side = source.select_columns(["doc_id", payload_col]).map_batches(
-        lambda t, _o=out_col: t.rename_columns(["doc_id", _o]),
+        lambda t, _k=key_col, _o=out_col: t.rename_columns([_k, _o]),
         batch_format="pyarrow")
-    return pairs.join(side, "inner",
-                      num_partitions=_join_partitions(num_partitions),
-                      on=(key_col,), right_on=("doc_id",))
+    return adaptive_join(pairs, side, key_col,
+                         num_partitions=num_partitions)
 
 
 def minhash_lsh_pairs(ds, num_perm: int = 64, bands: int = 16,
@@ -506,8 +509,8 @@ def ngram_jaccard_pairs(ds, n: int = 3, threshold: float = 0.5,
     Candidates come from minhash LSH with 2-row bands (detection prob at
     j=0.5 is 1-(1-0.25)^32 ≈ 0.9999 — near-total recall at the contract
     threshold; callers chasing higher thresholds should narrow ``bands``).
-    Texts are then hash-JOINED onto the deduplicated candidate pairs — no
-    driver-side corpus broadcast, no O(corpus) structure anywhere.  The
+    Texts are then joined onto the deduplicated candidate pairs (``_attach``)
+    — the corpus never passes through the driver.  The
     default n=3/threshold=0.5 form matches ``NGRAM_PAIRS_SQL`` exactly.
     """
     sigs = minhash_signatures(ds, num_perm).materialize()
@@ -606,7 +609,7 @@ def embedding_dup_pairs(ds, threshold: float = 0.4, bucket_dims: int = 4,
     once: only from the primary bucket of its lower-id member (a pair's
     buckets intersect there iff sign-hamming ≤ 1), so no dedup shuffle and
     the output schema is always typed.  Embeddings are verified exactly via
-    a float64 dot after a hash join — they do not ride the bucket rows.
+    a float64 dot after ``_attach`` — they do not ride the bucket rows.
     """
 
     def to_buckets(batch: pa.Table) -> pa.Table:

@@ -10,10 +10,11 @@ Shape: href extraction is a block-local vectorized kernel (polars
 ``str.extract_all`` — no Python loop over rows), immediately reduced to
 per-block ``(src_host, dst_host) → n`` partial counts, so the single
 exchange is bounded by |hosts|² not by total link count.  Host
-PageRank reuses ``ie_ray.stages.pagerank`` (one join + one groupby per
-round) over the *weighted* host edges — each edge's contribution is
-scaled by its link count, so the aggregated table feeds the loop
-directly and no per-link row ever reaches the iteration.
+PageRank is ``ie_ray.stages.pagerank.pagerank`` (one adaptive join + one
+bucketed sum per round) over the host edges with the link count as the
+weight ``w`` — each source's mass splits in proportion to it, so the
+aggregated table feeds the loop directly and no per-link row ever
+reaches the iteration.
 """
 
 from __future__ import annotations
@@ -69,15 +70,14 @@ def page_link_edges(pages):
 def host_pagerank(pages, iters: int = 10, damping: float = 0.85):
     """PageRank over the host graph: (node, rank) Dataset.
 
-    Runs on the COUNT-aggregated edge table — ``pagerank`` splits each
-    source's mass across edge rows by out-degree; for the host graph we
-    want mass split by link count, so we pre-scale via edge weights:
-    expanding back to per-link rows would be O(total links), weighting
-    keeps the loop input at O(|hosts|²).
+    Runs on the COUNT-aggregated edge table with the link count as the
+    edge weight, so a host's mass splits by link count: expanding back
+    to per-link rows would be O(total links), weighting keeps the loop
+    input at O(|hosts|²).
     """
-    from ie_ray.stages.pagerank import pagerank_weighted
+    from ie_ray.stages.pagerank import pagerank
     edges = page_link_edges(pages)
     renamed = edges.map_batches(
         lambda t: t.rename_columns(["subj_id", "obj_id", "w"]),
         batch_format="pyarrow")
-    return pagerank_weighted(renamed, iters=iters, damping=damping)
+    return pagerank(renamed, iters=iters, damping=damping)

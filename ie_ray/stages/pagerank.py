@@ -1,67 +1,65 @@
 """Distributed PageRank over the constructed knowledge graph.
 
-Each iteration is ONE hash join (current ranks → the static
-edge+outdegree table on the source id) plus one associative groupby
-(incoming mass per destination) — no driver-side O(nodes) structure
-anywhere: the rank table lives as a materialized Dataset in the object
-store between iterations (the standard checkpoint pattern for iterative
-dataflow — without it the lazy lineage re-executes every prior round).
-The only values that reach the driver are two scalars per round (total
-rank mass and linked mass for the dangling-node correction; linked mass
-falls out of the per-edge contribution sum, since a source of out-degree
-k contributes k × rank/k = rank).
+One power iteration serves every variant.  Each round is ONE
+``relational.adaptive_join`` (current ranks → the static edge table on
+the source id: a broadcast while the rank table is small, a hash
+exchange beyond) plus one bucketed sum (incoming mass per destination)
+— no driver-side O(nodes) structure anywhere: the rank table lives as a
+materialized Dataset in the object store between rounds (the standard
+checkpoint pattern for iterative dataflow — without it the lazy lineage
+re-executes every prior round), and a broadcast rank table is built by
+each worker from its block refs, never through the driver.  The only
+values that reach the driver are two scalars per round (total rank mass
+and linked mass for the dangling-node correction; linked mass falls out
+of the per-edge contribution sum, since a source's shares sum to 1).
 
-The edges⋈outdeg join is loop-invariant and hoisted: it runs once and
-the joined table is reused every round.  Join fan-out defaults to
-``dedup._join_partitions()`` — a hash partition that receives zero keys
-materializes a schema-less block and Arrow's join then fails on the key
-FieldRef (the same pitfall documented there), so gate-scale runs keep
-the partition count small; production callers size it to data volume.
+The edges ⋈ out-weight attach is loop-invariant and hoisted: it runs
+once and the joined table is reused every round.  An optional ``w``
+column splits a source's mass in proportion to w; without it every
+edge row gets an equal share (``rank / outdeg``).
 
-The input edges are materialized once on entry.  Each variant reads them
-for the node set (a union of both endpoint columns: two reads in one
-plan), the out-degree and the edge table, and a lazy input re-runs its
-whole lineage on every read.  With ``kg_edges`` as input, the union alone
-ran two copies of the flagship's actor pool at once; at 2 CPUs they held
-every CPU and the run never finished.
+The input edges are materialized once on entry.  They are read for the
+node set (a union of both endpoint columns: two reads in one plan), the
+out-weight and the edge table, and a lazy input re-runs its whole
+lineage on every read.  With ``kg_edges`` as input, the union alone ran
+two copies of the flagship at once; at 2 CPUs the run never finished.
 
-Dangling nodes (no outgoing edges) redistribute their mass uniformly,
-the textbook formulation:
+Dangling nodes (no outgoing edges) redistribute their mass over the
+teleport set, the textbook formulation:
 
-    r'(v) = (1-d)/N + d * (sum_{u->v} r(u)/outdeg(u) + dangling/N)
+    r'(v) = d * sum_{u->v} r(u) * share(u->v) + t(v) * ((1-d) + d * dangling)
+
+where ``t`` is uniform 1/N, or 1/k on the k ``seeds`` (personalized
+PageRank, Haveliwala 2002), which also hold the initial mass.
 
 Determinism: pure float64 arithmetic over a fixed edge set; the NumPy
-twin in ``pagerank_reference`` reproduces the result to fp-sum-order
-tolerance (tests/test_pagerank.py).
+twins below reproduce the result to fp-sum-order tolerance
+(tests/test_pagerank.py, tests/test_linkgraph.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-from ie_ray.stages.dedup import _join_partitions
-
-
-def _rename(cols):
-    def fn(t: pa.Table) -> pa.Table:
-        return t.rename_columns(cols)
-    return fn
+import pyarrow.compute as pc
 
 
-def pagerank(edges, iters: int = 10, damping: float = 0.85,
-             num_partitions=None):
+def pagerank(edges, iters: int = 10, damping: float = 0.85, seeds=None):
     """edges: Dataset with string columns subj_id, obj_id (one row per
-    edge; extra columns ignored).  Returns a Dataset (node, rank)."""
-    parts = _join_partitions(num_partitions)
+    edge) and an optional numeric ``w`` (a source's mass splits ∝ w);
+    other columns are ignored.  ``seeds``: iterable of node ids to
+    teleport to (every node when None); a seed absent from the edge set
+    raises ``ValueError``.  Returns a Dataset (node, rank)."""
+    from ie_ray.stages.relational import adaptive_join, bucketed_aggregate
+
     edges = edges.materialize()
+    weighted = "w" in edges.schema().names
 
     def side(col):
-        return (edges.select_columns([col])
-                .map_batches(_rename(["node"]), batch_format="pyarrow"))
+        return edges.select_columns([col]).map_batches(
+            lambda t: t.rename_columns(["node"]), batch_format="pyarrow")
 
-    from ie_ray.stages.relational import bucketed_aggregate
-    # node/out-degree key domains are graph-sized — reduce through the
+    # node/out-weight key domains are graph-sized — reduce through the
     # bucketed path (Ray's sort groupby pays per-group Python cost there)
     nodes = (bucketed_aggregate(side("subj_id").union(side("obj_id")),
                                 "node", [("node", "count")])
@@ -69,28 +67,56 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85,
                           batch_format="pyarrow")).materialize()
     n = nodes.count()
 
-    outdeg = (bucketed_aggregate(edges.select_columns(["subj_id"]),
-                                 "subj_id", [("subj_id", "count")])
-              .map_batches(_rename(["subj_id", "outdeg"]),
-                           batch_format="pyarrow"))
+    if seeds is None:
+        seed_arr, k = None, n
+    else:
+        seed_arr = pa.array(sorted(set(seeds)), type=pa.string())
+        k = len(seed_arr)
+        if k == 0:
+            raise ValueError("pagerank needs >= 1 seed")
+        # out-of-graph seeds silently leak teleport mass (rank no
+        # longer sums to 1) — reject them up front, as the twin does
+        n_present = nodes.map_batches(
+            lambda t: t.filter(pc.is_in(t.column("node"),
+                                        value_set=seed_arr)),
+            batch_format="pyarrow").count()
+        if n_present != k:
+            raise ValueError(
+                "pagerank: %d of %d seeds absent from the edge set"
+                % (k - n_present, k))
 
-    # loop-invariant: every edge row tagged with its source's out-degree
-    edges_w = (edges.select_columns(["subj_id", "obj_id"])
-               .join(outdeg, "inner", num_partitions=parts,
-                     on=("subj_id",))).materialize()
+    def teleport(t: pa.Table, mass: float) -> pa.Array:
+        """``mass`` on each row of the teleport set, 0 elsewhere."""
+        if seed_arr is None:
+            return pa.array(np.full(t.num_rows, mass))
+        return pc.if_else(pc.is_in(t.column("node"), value_set=seed_arr),
+                          pa.scalar(mass), pa.scalar(0.0))
 
-    def init_rank(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "rank", pa.array([1.0 / n] * t.num_rows, type=pa.float64()))
-
-    ranks = nodes.map_batches(init_rank, batch_format="pyarrow").materialize()
+    # the edge table keyed on its source as "node", so the rank table
+    # attaches without a rename
+    cols = ["subj_id", "obj_id"] + (["w"] if weighted else [])
+    src = edges.select_columns(cols).map_batches(
+        lambda t: t.rename_columns(["node"] + cols[1:]),
+        batch_format="pyarrow")
+    # materialized: adaptive_join reads its right side twice (the count,
+    # then the block refs)
+    outw = (bucketed_aggregate(src.select_columns(["node"] + cols[2:]),
+                               "node",
+                               [("w", "sum")] if weighted
+                               else [("node", "count")])
+            .map_batches(lambda t: t.rename_columns(["node", "outw"]),
+                         batch_format="pyarrow")).materialize()
+    # loop-invariant: every edge row tagged with its source's out-weight
+    edges_w = adaptive_join(src, outw, "node").materialize()
 
     def contrib(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "node": t.column("obj_id"),
-            "c": pc.divide(t.column("rank"),
-                           pc.cast(t.column("outdeg"), pa.float64()))})
+        outw = pc.cast(t.column("outw"), pa.float64())
+        if weighted:
+            c = pc.multiply(t.column("rank"), pc.divide(
+                pc.cast(t.column("w"), pa.float64()), outw))
+        else:
+            c = pc.divide(t.column("rank"), outw)
+        return pa.table({"node": t.column("obj_id"), "c": c})
 
     def zero(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -98,98 +124,22 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85,
             "c": pa.array([0.0] * t.num_rows, type=pa.float64())})
 
     zeros = nodes.map_batches(zero, batch_format="pyarrow")
+    ranks = nodes.map_batches(
+        lambda t: t.append_column("rank", teleport(t, 1.0 / k)),
+        batch_format="pyarrow").materialize()
 
     for _ in range(iters):
-        contribs = (edges_w
-                    .join(ranks.map_batches(_rename(["subj_id", "rank"]),
-                                            batch_format="pyarrow"),
-                          "inner", num_partitions=parts, on=("subj_id",))
-                    .map_batches(contrib,
-                                 batch_format="pyarrow")).materialize()
+        contribs = (adaptive_join(edges_w, ranks, "node")
+                    .map_batches(contrib, batch_format="pyarrow")
+                    ).materialize()
         total = ranks.sum("rank")
         linked = contribs.sum("c") or 0.0   # == sum of linked-node ranks
         dangling = total - linked
-
-        base = (1.0 - damping) / n + damping * dangling / n
-
-        def finish(t: pa.Table, base=base) -> pa.Table:
-            import pyarrow.compute as pc
-            r = pc.add(pc.multiply(t.column("c_sum"), damping), base)
-            return pa.table({"node": t.column("node"), "rank": r})
-
-        ranks = (bucketed_aggregate(contribs.union(zeros), "node",
-                                    [("c", "sum")])
-                 .map_batches(finish, batch_format="pyarrow")).materialize()
-
-    return ranks
-
-
-def pagerank_weighted(edges, iters: int = 10, damping: float = 0.85,
-                      num_partitions=None):
-    """Weighted PageRank: edges (subj_id, obj_id, w) with one row per
-    aggregated edge; a source's mass splits across targets ∝ w.  Same
-    loop shape as :func:`pagerank` (one join + one groupby per round);
-    the input stays at O(|distinct edges|), never per-link rows."""
-    parts = _join_partitions(num_partitions)
-    edges = edges.materialize()
-
-    def side(col):
-        return (edges.select_columns([col])
-                .map_batches(_rename(["node"]), batch_format="pyarrow"))
-
-    from ie_ray.stages.relational import bucketed_aggregate
-    # node/out-degree key domains are graph-sized — reduce through the
-    # bucketed path (Ray's sort groupby pays per-group Python cost there)
-    nodes = (bucketed_aggregate(side("subj_id").union(side("obj_id")),
-                                "node", [("node", "count")])
-             .map_batches(lambda t: t.select(["node"]),
-                          batch_format="pyarrow")).materialize()
-    n = nodes.count()
-
-    outw = (bucketed_aggregate(edges.select_columns(["subj_id", "w"]),
-                               "subj_id", [("w", "sum")])
-            .map_batches(_rename(["subj_id", "outw"]),
-                         batch_format="pyarrow"))
-    edges_w = (edges.select_columns(["subj_id", "obj_id", "w"])
-               .join(outw, "inner", num_partitions=parts,
-                     on=("subj_id",))).materialize()
-
-    def init_rank(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "rank", pa.array([1.0 / n] * t.num_rows, type=pa.float64()))
-
-    ranks = nodes.map_batches(init_rank, batch_format="pyarrow").materialize()
-
-    def contrib(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        share = pc.divide(pc.cast(t.column("w"), pa.float64()),
-                          pc.cast(t.column("outw"), pa.float64()))
-        return pa.table({
-            "node": t.column("obj_id"),
-            "c": pc.multiply(t.column("rank"), share)})
-
-    def zero(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t.column("node"),
-            "c": pa.array([0.0] * t.num_rows, type=pa.float64())})
-
-    zeros = nodes.map_batches(zero, batch_format="pyarrow")
-
-    for _ in range(iters):
-        contribs = (edges_w
-                    .join(ranks.map_batches(_rename(["subj_id", "rank"]),
-                                            batch_format="pyarrow"),
-                          "inner", num_partitions=parts, on=("subj_id",))
-                    .map_batches(contrib,
-                                 batch_format="pyarrow")).materialize()
-        total = ranks.sum("rank")
-        linked = contribs.sum("c") or 0.0
-        dangling = total - linked
-        base = (1.0 - damping) / n + damping * dangling / n
+        base = (1.0 - damping) / k + damping * dangling / k
 
         def finish(t: pa.Table, base=base) -> pa.Table:
-            import pyarrow.compute as pc
-            r = pc.add(pc.multiply(t.column("c_sum"), damping), base)
+            r = pc.add(pc.multiply(t.column("c_sum"), damping),
+                       teleport(t, base))
             return pa.table({"node": t.column("node"), "rank": r})
 
         ranks = (bucketed_aggregate(contribs.union(zeros), "node",
@@ -232,115 +182,6 @@ def pagerank_reference(src, dst, iters: int = 10,
         inc = np.bincount(d, weights=r[s] / outdeg[s], minlength=n)
         r = (1.0 - damping) / n + damping * (inc + dangling / n)
     return {v: r[idx[v]] for v in nodes}
-
-
-def pagerank_personalized(edges, seeds, iters: int = 10,
-                          damping: float = 0.85, num_partitions=None):
-    """Personalized PageRank (teleport to a SEED set, Haveliwala
-    2002): random walks restart at the seeds instead of uniformly, so
-    mass concentrates in the seeds' neighborhood — the standard
-    relevance/recommendation ranking over a KG.  Identical loop shape
-    to :func:`pagerank` (one join + one groupby per round); the only
-    deltas are the seed-indicator init and the per-node teleport term
-    (non-zero only on seeds), evaluated with one broadcast ``is_in``
-    probe — no per-row Python.
-
-    ``seeds``: iterable of node id strings.  Returns (node, rank)."""
-    import pyarrow.compute as pc
-    import ray as _ray
-
-    parts = _join_partitions(num_partitions)
-    edges = edges.materialize()
-    seed_ids = sorted(set(seeds))
-    seed_arr = pa.array(seed_ids, type=pa.string())
-    k = len(seed_arr)
-    if k == 0:
-        raise ValueError("pagerank_personalized needs >= 1 seed")
-    sref = _ray.put(seed_arr)
-
-    def side(col):
-        return (edges.select_columns([col])
-                .map_batches(_rename(["node"]),
-                             batch_format="pyarrow"))
-
-    from ie_ray.stages.relational import bucketed_aggregate
-    nodes = (bucketed_aggregate(side("subj_id").union(side("obj_id")),
-                                "node", [("node", "count")])
-             .map_batches(lambda t: t.select(["node"]),
-                          batch_format="pyarrow")).materialize()
-
-    # out-of-graph seeds silently leak teleport mass (rank no longer
-    # sums to 1) — reject them up front, matching the NumPy twin
-    # (review finding r5s4)
-    n_present = nodes.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("node"),
-                                    value_set=seed_arr)),
-        batch_format="pyarrow").count()
-    if n_present != k:
-        raise ValueError(
-            "pagerank_personalized: %d of %d seeds absent from the "
-            "edge set" % (k - n_present, k))
-
-    outdeg = (bucketed_aggregate(edges.select_columns(["subj_id"]),
-                                 "subj_id", [("subj_id", "count")])
-              .map_batches(_rename(["subj_id", "outdeg"]),
-                           batch_format="pyarrow"))
-    edges_w = (edges.select_columns(["subj_id", "obj_id"])
-               .join(outdeg, "inner", num_partitions=parts,
-                     on=("subj_id",))).materialize()
-
-    def seed_mask(t: pa.Table):
-        return pc.is_in(t.column("node"), value_set=_ray.get(sref))
-
-    def init_rank(t: pa.Table) -> pa.Table:
-        r = pc.if_else(seed_mask(t), pa.scalar(1.0 / k),
-                       pa.scalar(0.0))
-        return t.append_column("rank", r.cast(pa.float64()))
-
-    ranks = nodes.map_batches(init_rank,
-                              batch_format="pyarrow").materialize()
-
-    def contrib(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t.column("obj_id"),
-            "c": pc.divide(t.column("rank"),
-                           pc.cast(t.column("outdeg"),
-                                   pa.float64()))})
-
-    def zero(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t.column("node"),
-            "c": pa.array([0.0] * t.num_rows, type=pa.float64())})
-
-    zeros = nodes.map_batches(zero, batch_format="pyarrow")
-
-    for _ in range(iters):
-        contribs = (edges_w
-                    .join(ranks.map_batches(
-                        _rename(["subj_id", "rank"]),
-                        batch_format="pyarrow"),
-                        "inner", num_partitions=parts,
-                        on=("subj_id",))
-                    .map_batches(contrib,
-                                 batch_format="pyarrow")).materialize()
-        total = ranks.sum("rank")
-        linked = contribs.sum("c") or 0.0
-        dangling = total - linked
-        seed_base = (1.0 - damping) / k + damping * dangling / k
-
-        def finish(t: pa.Table, seed_base=seed_base) -> pa.Table:
-            tele = pc.if_else(seed_mask(t), pa.scalar(seed_base),
-                              pa.scalar(0.0))
-            r = pc.add(pc.multiply(t.column("c_sum"), damping),
-                       tele.cast(pa.float64()))
-            return pa.table({"node": t.column("node"), "rank": r})
-
-        ranks = (bucketed_aggregate(contribs.union(zeros), "node",
-                                    [("c", "sum")])
-                 .map_batches(finish,
-                              batch_format="pyarrow")).materialize()
-
-    return ranks
 
 
 def pagerank_personalized_reference(src, dst, seeds, iters: int = 10,

@@ -446,10 +446,9 @@ _BCAST_BUILD_CACHE: dict = {}
 
 
 def _broadcast_build(refs, on: str):
-    """``(keys, table)`` of a broadcast build side: one table ref, or a
-    list of block refs concatenated (schema-less empty blocks dropped)."""
+    """``(keys, table)`` of a broadcast build side: its block refs
+    concatenated (schema-less empty blocks dropped)."""
     import ray
-    refs = refs if isinstance(refs, list) else [refs]
     key = (tuple(r.hex() for r in refs), on)
     hit = _BCAST_BUILD_CACHE.get(key)
     if hit is not None:
@@ -472,10 +471,11 @@ def adaptive_join(left, right, on: str, broadcast_max_rows: int = 100_000,
     size — the planner decision every distributed engine makes:
 
     * right side small (≤ ``broadcast_max_rows``, known from parquet
-      metadata or a cheap count) → **broadcast**: the right table is
-      put in the object store ONCE and every left block maps against
-      it zero-shuffle (the ``ray.put`` + lookup idiom this repo uses
-      for alias/dim tables).
+      metadata or a cheap count) → **broadcast**: every worker builds
+      the right table once from its block refs (``_broadcast_build``,
+      which also drops schema-less empty blocks) and every left block
+      probes it with a vectorized ``index_in`` — zero shuffle, and the
+      build side never passes through the driver.
     * otherwise → **hash exchange** via ``Dataset.join`` (both sides
       repartitioned on the key).
 
@@ -483,59 +483,49 @@ def adaptive_join(left, right, on: str, broadcast_max_rows: int = 100_000,
     (enforced on the broadcast path).  Returns left columns + right
     payload columns.  Keys must be hashable scalars.
     """
-    import ray
-
     n_right = right.count()
-    if n_right <= broadcast_max_rows:
-        # a hash/aggregate partition that received zero keys produces a
-        # SCHEMA-LESS empty block (same Ray quirk _join_partitions
-        # documents) — drop those before concat
-        tbls = [t for t in ray.get(right.to_arrow_refs())
-                if t.num_columns > 0]
-        if not tbls:
-            # empty dimension ⇒ empty result, but with the JOINED
-            # schema (left + right payload), so a downstream stage
-            # selecting a right column still resolves
-            rschema = right.schema(fetch_if_missing=True)
-            rpay = [] if rschema is None else \
-                [(n, t) for n, t in zip(rschema.names, rschema.types)
-                 if n != on]
+    if n_right > broadcast_max_rows:
+        from ie_ray.stages.dedup import _join_partitions
+        return left.join(right, "inner",
+                         num_partitions=_join_partitions(num_partitions),
+                         on=(on,))
+    if n_right == 0:
+        # empty dimension ⇒ empty result, but with the JOINED schema
+        # (left + right payload), so a downstream stage selecting a
+        # right column still resolves
+        rschema = right.schema(fetch_if_missing=True)
+        rpay = [] if rschema is None else \
+            [(n, t) for n, t in zip(rschema.names, rschema.types)
+             if n != on]
 
-            def empty_joined(t: pa.Table) -> pa.Table:
-                lt = t.slice(0, 0)
-                cols = {c: lt.column(c) for c in lt.column_names}
-                for name, typ in rpay:
-                    cols[name] = pa.nulls(0, typ)
-                return pa.table(cols)
-
-            return left.map_batches(empty_joined, batch_format="pyarrow")
-        tbl = pa.concat_tables(tbls)
-        ref = ray.put(tbl)
-
-        def probe(t: pa.Table) -> pa.Table:
-            # build-side prep (uniqueness check + key array) runs ONCE
-            # per worker per broadcast ref, not per batch; the probe is
-            # a vectorized index_in, no Python row loop
-            keys, r = _broadcast_build(ref, on)
-            pk = t.column(on).combine_chunks()
-            if pk.type != keys.type:
-                keys = keys.cast(pk.type)
-            idx = pc.index_in(pk, value_set=keys)
-            keep = pc.is_valid(idx)
-            lt = t.filter(keep)
-            rt = r.take(idx.filter(keep))
+        def empty_joined(t: pa.Table) -> pa.Table:
+            lt = t.slice(0, 0)
             cols = {c: lt.column(c) for c in lt.column_names}
-            for c in rt.column_names:
-                if c != on:
-                    cols[c] = rt.column(c)
+            for name, typ in rpay:
+                cols[name] = pa.nulls(0, typ)
             return pa.table(cols)
 
-        return left.map_batches(probe, batch_format="pyarrow")
+        return left.map_batches(empty_joined, batch_format="pyarrow")
+    # the count above ran a lazy right side once; materialized, its block
+    # refs do not run it again
+    refs = right.materialize().to_arrow_refs()
 
-    from ie_ray.stages.dedup import _join_partitions
-    return left.join(right, "inner",
-                     num_partitions=_join_partitions(num_partitions),
-                     on=(on,))
+    def probe(t: pa.Table) -> pa.Table:
+        keys, r = _broadcast_build(refs, on)
+        pk = t.column(on).combine_chunks()
+        if pk.type != keys.type:
+            keys = keys.cast(pk.type)
+        idx = pc.index_in(pk, value_set=keys)
+        keep = pc.is_valid(idx)
+        lt = t.filter(keep)
+        rt = r.take(idx.filter(keep))
+        cols = {c: lt.column(c) for c in lt.column_names}
+        for c in rt.column_names:
+            if c != on:
+                cols[c] = rt.column(c)
+        return pa.table(cols)
+
+    return left.map_batches(probe, batch_format="pyarrow")
 
 
 def salted_map_groups(ds, key: str, fn, salts: int = 16,

@@ -43,3 +43,34 @@ def test_broadcast_rejects_dup_keys():
         adaptive_join(ray.data.from_arrow(LEFT),
                       ray.data.from_arrow(dup), "k",
                       broadcast_max_rows=10).take_all()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_broadcast_build_side_skips_driver(monkeypatch):
+    """The broadcast path hands workers the build side's block refs: the
+    driver neither gets a build-side table nor puts one."""
+    import ray
+    import ray.data
+    left = ray.data.from_arrow(LEFT).repartition(3)
+    right = ray.data.from_arrow(RIGHT).materialize()
+    seen = []
+    get, put = ray.get, ray.put
+
+    def spy_get(*args, **kwargs):
+        out = get(*args, **kwargs)
+        vals = out if isinstance(out, list) else [out]
+        seen.extend(v for v in vals if isinstance(v, pa.Table))
+        return out
+
+    def spy_put(value, *args, **kwargs):
+        if isinstance(value, pa.Table):
+            seen.append(value)
+        return put(value, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "get", spy_get)
+    monkeypatch.setattr(ray, "put", spy_put)
+    out = adaptive_join(left, right, "k", broadcast_max_rows=100)
+    monkeypatch.undo()
+    assert seen == []
+    assert sorted((r["k"], r["lv"], r["rv"])
+                  for r in out.take_all()) == WANT

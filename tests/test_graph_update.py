@@ -125,3 +125,31 @@ def test_crash_leaves_previous_version_current(ray_session, tmp_path):
     update_graph(out, ray.data.from_arrow(_triples(BATCH_B)))
     edges, _ = _snapshot(out)
     assert edges[("e:acme", "acquire", "e:globex")] == 3
+
+
+def test_kg_incremental_removes_its_state_dir(ray_session, monkeypatch):
+    """The ``kg_incremental`` query materializes its edges and removes
+    the temporary state directory it wrote them to; its rows are the
+    edges ``kg_edges`` builds in one shot."""
+    import os
+    import tempfile
+
+    import __ray_entry__ as entrymod
+
+    made, mkdtemp = [], tempfile.mkdtemp
+
+    def spy(*args, **kwargs):
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", spy)
+    qs = entrymod.queries()
+    got = qs["kg_incremental"]("/root/testdata/sf0.001")
+    monkeypatch.undo()
+    assert len(made) == 1 and not os.path.exists(made[0])
+    rows = sorted((r["subj_id"], r["pred"], r["obj_id"], r["n"])
+                  for r in got.take_all())
+    want = sorted((r["subj_id"], r["pred"], r["obj_id"], r["n"])
+                  for r in qs["kg_edges"]("/root/testdata/sf0.001")
+                  .take_all())
+    assert rows and rows == want

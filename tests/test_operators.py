@@ -1,5 +1,9 @@
 """Training-data operator tests: dedup family, similarity, text stats."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -162,6 +166,29 @@ def test_dedup_keep_numeric_min(ray_session):
                   pairs.map_batches(as_edges,
                                     batch_format="pyarrow")).take_all()}
     assert labels[10] == 9 and labels[11] == 9 and labels[9] == 9
+
+
+def test_near_dedup_finishes_at_two_cpus():
+    """``ngram_jaccard_pairs`` attaches both texts through
+    ``adaptive_join``: a broadcast while the corpus is small, so a 2-CPU
+    session runs no chained hash joins (with them the query never
+    finished).  The keep-list and the cluster sizes must both come
+    back."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = ("import ray\n"
+              "ray.init(address='local', num_cpus=2, "
+              "include_dashboard=False)\n"
+              "import __ray_entry__ as e\n"
+              "qs = e.queries()\n"
+              "print(qs['minhash_dedup_keep']('/root/testdata/sf0.01')"
+              ".count(),\n"
+              "      qs['minhash_cluster_sizes']('/root/testdata/sf0.01')"
+              ".count())\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, cwd=repo,
+                          timeout=240)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split()[-2:] == ["476", "2"]
 
 
 def test_knn_and_sim_pairs(ray_session):

@@ -59,7 +59,7 @@ def test_pagerank_on_kg_edges(ray_session):
 def test_personalized_pagerank_matches_twin(ray_session):
     import ray.data
 
-    from ie_ray.stages.pagerank import (pagerank_personalized,
+    from ie_ray.stages.pagerank import (pagerank,
                                         pagerank_personalized_reference)
 
     rng = np.random.RandomState(83)
@@ -74,8 +74,7 @@ def test_personalized_pagerank_matches_twin(ray_session):
         .repartition(4)
     seeds = ["v00", "v01"]
     got = {r["node"]: r["rank"] for r in
-           pagerank_personalized(edges, seeds, iters=8,
-                                 num_partitions=2).take_all()}
+           pagerank(edges, iters=8, seeds=seeds).take_all()}
     want = pagerank_personalized_reference(src, dst, seeds, iters=8)
     for v, w in want.items():
         assert abs(got.get(v, 0.0) - w) < 1e-9, v
@@ -89,15 +88,56 @@ def test_personalized_pagerank_rejects_missing_seed(ray_session):
     import pytest
     import ray.data
 
-    from ie_ray.stages.pagerank import (pagerank_personalized,
+    from ie_ray.stages.pagerank import (pagerank,
                                         pagerank_personalized_reference)
 
     edges = ray.data.from_arrow(pa.table({
         "subj_id": pa.array(["a"]), "obj_id": pa.array(["b"])}))
     with pytest.raises(ValueError, match="absent"):
-        pagerank_personalized(edges, ["a", "ghost"], iters=2)
+        pagerank(edges, iters=2, seeds=["a", "ghost"])
     with pytest.raises(ValueError, match="absent"):
         pagerank_personalized_reference(["a"], ["b"], ["ghost"])
+
+
+def test_pagerank_runs_no_hash_join(ray_session, monkeypatch):
+    """On a small graph every attach in pagerank (edges ⋈ out-weight and
+    each round's ranks) is a broadcast: with ``Dataset.join`` made to
+    raise, the plain, weighted and personalized forms still match their
+    twins."""
+    import ray.data
+
+    from ie_ray.stages.pagerank import (pagerank,
+                                        pagerank_personalized_reference,
+                                        pagerank_reference,
+                                        pagerank_weighted_reference)
+
+    def no_join(*args, **kwargs):
+        raise AssertionError("pagerank ran a hash join")
+
+    monkeypatch.setattr(ray.data.Dataset, "join", no_join)
+    src = ["a", "b", "c", "d", "hub", "x", "hub"]
+    dst = ["hub", "hub", "hub", "hub", "x", "y", "a"]
+    w = [1, 2, 1, 3, 4, 1, 2]
+    edges = ray.data.from_arrow(pa.table({
+        "subj_id": src, "obj_id": dst,
+        "w": pa.array(w, type=pa.int64())})).repartition(3)
+
+    def ranks(ds):
+        return {r["node"]: r["rank"] for r in ds.take_all()}
+
+    cases = [
+        (pagerank(edges.drop_columns(["w"]), iters=6),
+         pagerank_reference(src, dst, iters=6)),
+        (pagerank(edges, iters=6),
+         pagerank_weighted_reference(src, dst, w, iters=6)),
+        (pagerank(edges.drop_columns(["w"]), iters=6, seeds=["a", "x"]),
+         pagerank_personalized_reference(src, dst, ["a", "x"], iters=6)),
+    ]
+    for got, want in cases:
+        got = ranks(got)
+        assert set(got) == set(want)
+        for v in want:
+            assert abs(got[v] - want[v]) < 1e-12, v
 
 
 def test_kg_pagerank_finishes_at_two_cpus():
