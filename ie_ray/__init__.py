@@ -6,7 +6,7 @@ streaming Ray Data pipelines over Arrow batches:
 
     pages (url, warc_ts, html, text, lang)
       → extract_text        (html → text, byte-identical per url)
-      → exact_dedup         (content-hash shuffle)
+      → dedup_losers        (least url per content hash, broadcast probe)
       → segment_sentences   (flat explode page → sentences)
       → parse               (sentence → CCG derivation)
       → compose             (derivation → DRS conditions → triples)

@@ -1,24 +1,28 @@
 """The flagship pipeline: pages → triples → linked graph.
 
-``kg_triples`` (all streaming, no mid-pipeline materialization):
+``kg_triples``:
 
+    key pass: read → extract_text → lang == 'en' → add_page_hash
+      → one bucketed exchange on page_hash → the loser list (every
+        distinct (page_hash, url) but the least url of its hash)
     read_parquet(pages, columns=[url, html, lang])
       → ONE fused task operator:
           extract_text (Arrow) → filter lang == 'en' → add_page_hash
-          → DedupFilter (probe of the sharded owner-index actors, which
-            hold the state) → segment (flat explode page → sentence rows)
+          → drop_dedup_losers (broadcast anti-probe of the loser list)
+          → segment (flat explode page → sentence rows)
           → ParseComposeActor (replay/CKY parse + compose + entity
             linking — derivation strings and unlinked triples, the two
             largest intermediates, never enter the object store;
             broadcast derivation + alias dicts, per-process parser and
             Composer LRU for the run)
 
-``kg_full`` is the one writer.  It runs ``kg_triples`` per contiguous
-shard of the input files and lands each shard's triples atomically under
-``out/landed/`` with a lineage manifest; then, from every landed triple,
-canonicalize → build_nodes/build_edges → hash-partitioned parquet +
-manifests.  The landed shards are the only checkpoint: a re-run computes
-the shards that have not landed and reruns the cheap graph tail.
+``kg_full`` is the one writer.  It computes one loser list over all its
+input files, runs ``kg_triples`` per contiguous shard of those files and
+lands each shard's triples atomically under ``out/landed/`` with a
+lineage manifest; then, from every landed triple, canonicalize →
+build_nodes/build_edges → hash-partitioned parquet + manifests.  The
+landed shards are the only checkpoint: a re-run computes the shards that
+have not landed and reruns the cheap graph tail.
 
 Parity with the reference's daemon chain: SURVEY.md §3.2; re-architecture
 rationale §4.
@@ -32,14 +36,16 @@ import os
 import shutil
 from typing import Optional
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
 from ..sources.pages import write_fixture_tables
-from ..stages.dedup_index import create_dedup_index
 from ..stages.extract import add_page_hash, extract_text_batch, filter_lang
 from ..stages.graph import manifest_path, stamp_manifest
 from ..stages.link import load_alias_map
+from ..stages.relational import _broadcast_build, bucketed_map_groups
 from ..stages.segment import segment_batch
 
 
@@ -69,25 +75,67 @@ def _read_pages(paths) -> "ray.data.Dataset":
                                  override_num_blocks=max(ncpu * 2, 8))
 
 
-def _new_pages(pages_ds, shards):
-    """pages → English pages whose content hash no other url owns yet.
-
-    Extract, lang filter, hash and the dedup probe are stateless per
-    batch (the membership lives in the shard actors, and owner semantics
-    make a re-executed batch idempotent), so Ray Data fuses them into the
-    read's downstream task; no batch size is set, since one after the
-    row-changing filter would split the fusion."""
-    from ..stages.dedup_index import DedupFilter
+def _en_pages(pages_ds):
+    """pages → English pages with their ``page_hash``.  Stateless per
+    batch, so Ray Data fuses these stages into the read's downstream
+    task; no batch size is set, since one after the row-changing filter
+    would split the fusion."""
     ds = pages_ds.map_batches(extract_text_batch, batch_format="pyarrow")
     ds = filter_lang(ds, "en")
-    ds = ds.map_batches(add_page_hash, batch_format="pyarrow")
-    return ds.map_batches(DedupFilter(shards), batch_format="pyarrow")
+    return ds.map_batches(add_page_hash, batch_format="pyarrow")
+
+
+def _page_key(t: pa.Table) -> pa.Array:
+    """One probe key per row: the fixed-width hex ``page_hash``, then the
+    url, so distinct pairs give distinct keys."""
+    return pc.binary_join_element_wise(t.column("page_hash"),
+                                       t.column("url"), "")
+
+
+def _losers_in_bucket(g: pa.Table) -> pa.Table:
+    pairs = g.group_by(["page_hash", "url"]).aggregate([]).join(
+        g.group_by("page_hash").aggregate([("url", "min")]), "page_hash")
+    pairs = pairs.filter(pc.not_equal(pairs.column("url"),
+                                      pairs.column("url_min")))
+    return pairs.drop_columns(["url_min"]).append_column(
+        "page_key", _page_key(pairs))
+
+
+def dedup_losers(pages_ds) -> "ray.data.Dataset":
+    """The loser list of ``pages_ds`` (materialized): every distinct
+    ``(page_hash, url)`` of its English pages whose url is not the least
+    url of that hash, with its probe key ``page_key``.
+
+    The least url wins, and every row with it is kept, also rows that
+    share both url and hash: the policy of ``dedup.exact_dedup_docs``
+    (least id per content hash).  It depends on no arrival order and
+    keeps no state, so a lost task just re-runs its lineage."""
+    keys = _en_pages(pages_ds).select_columns(["page_hash", "url"])
+    return bucketed_map_groups(keys, "page_hash",
+                               _losers_in_bucket).materialize()
+
+
+def _new_pages(pages_ds, losers):
+    """pages → English pages whose url is the least url of their content
+    hash.  Each worker builds the materialized ``losers`` once from its
+    block refs, and every batch anti-probes it inside the fused task."""
+    ds = _en_pages(pages_ds)
+    if losers.count() == 0:
+        return ds
+    refs = losers.to_arrow_refs()
+
+    def drop_dedup_losers(t: pa.Table) -> pa.Table:
+        keys, _ = _broadcast_build(refs, "page_key")
+        return t.filter(pc.invert(pc.is_in(_page_key(t), value_set=keys)))
+
+    return ds.map_batches(drop_dedup_losers, batch_format="pyarrow")
 
 
 def kg_triples(fixture_dir: Optional[str] = None,
                pages_ds: Optional["ray.data.Dataset"] = None,
                alias_table_path: Optional[str] = None,
-               dedup_shards=None) -> "ray.data.Dataset":
+               losers: Optional["ray.data.Dataset"] = None
+               ) -> "ray.data.Dataset":
     """pages → linked triples Dataset (lazy; caller consumes/writes).
 
     ``alias_table_path``: external entity-KB alias table for linking —
@@ -99,9 +147,10 @@ def kg_triples(fixture_dir: Optional[str] = None,
     pipeline; defaults to ``<fixture_dir>/alias_table.parquet``.  Env
     override: ``IE_RAY_ALIAS_TABLE``.
 
-    ``dedup_shards`` lets ``kg_full`` share ONE dedup index across its
-    per-shard runs (cross-shard duplicates must not escape just because
-    the work is checkpointed per shard)."""
+    ``losers``: a :func:`dedup_losers` list computed over a superset of
+    ``pages_ds`` — ``kg_full`` passes one list over all its input files,
+    so cross-shard duplicates dedup exactly like a one-shard run.  When
+    not given, it is computed from ``pages_ds``."""
     fixture_dir = fixture_dir or default_fixture_dir()
     alias_table_path = (alias_table_path
                         or os.environ.get("IE_RAY_ALIAS_TABLE")
@@ -109,9 +158,9 @@ def kg_triples(fixture_dir: Optional[str] = None,
     if pages_ds is None:
         pages_ds = _read_pages(os.path.join(fixture_dir, "pages"))
 
-    # online sharded hash index (reference semantics: probe-and-insert,
-    # aws/__init__.py:115-136) — no all-to-all shuffle on the hot path
-    ds = _new_pages(pages_ds, dedup_shards or create_dedup_index())
+    if losers is None:
+        losers = dedup_losers(pages_ds)
+    ds = _new_pages(pages_ds, losers)
     ds = ds.map_batches(segment_batch, batch_format="pyarrow")
 
     cold = os.environ.get("IE_RAY_COLD_PARSER", "").lower() \
@@ -137,10 +186,7 @@ def kg_triples(fixture_dir: Optional[str] = None,
 
 
 def _page_shards(fixture_dir: str, num_shards: int):
-    """Contiguous chunks of the input parquet files — the resume unit.
-
-    Contiguity preserves row adjacency so the online dedup filter sees
-    syndicated duplicates (planted next to their source) in one shard."""
+    """Contiguous chunks of the input parquet files — the resume unit."""
     files = sorted(glob.glob(os.path.join(fixture_dir, "pages", "*.parquet")))
     if not files:
         return []
@@ -167,36 +213,23 @@ def _land_shards(fixture_dir: str, landed: str, shards,
     pending = [k for k, files in enumerate(shards)
                if not _landed(landed, k, files)]
     if not pending:
-        return 0                    # no index: nothing would probe it
-    # ONE dedup index shared across every shard, so cross-shard duplicate
-    # pages dedup exactly like a one-shard run.  It is seeded from the
-    # landed shards' inputs (the page stages only: their parse/compose
-    # work is not redone), so the pending shards see the membership an
-    # uninterrupted run would have.  Killed when this returns or fails,
-    # not left to the cyclic GC of the consumed plans.
-    dedup_shards = create_dedup_index()
-    try:
-        seed = [f for k, files in enumerate(shards) if k not in pending
-                for f in files]
-        if seed:
-            # consumed for the insert side effect; only a count comes back
-            _new_pages(_read_pages(seed), dedup_shards).count()
-        for n, k in enumerate(pending, 1):
-            final = os.path.join(landed, "triples", "shard%03d" % k)
-            tmp = final + ".tmp"
-            shutil.rmtree(tmp, ignore_errors=True)
-            shutil.rmtree(final, ignore_errors=True)
-            os.makedirs(tmp)
-            kg_triples(fixture_dir, pages_ds=_read_pages(shards[k]),
-                       dedup_shards=dedup_shards).write_parquet(tmp)
-            os.rename(tmp, final)
-            stamp_manifest(landed, "triples-shard%03d" % k, "triples", final,
-                           inputs=shards[k])
-            if fail_after is not None and n >= fail_after:
-                raise RuntimeError("simulated crash after %d shards" % n)
-    finally:
-        for shard in dedup_shards:
-            ray.kill(shard)
+        return 0                    # no loser list: nothing would probe it
+    # ONE loser list over every input file, landed shards included, so
+    # cross-shard duplicate pages dedup exactly like a one-shard run
+    losers = dedup_losers(_read_pages([f for files in shards for f in files]))
+    for n, k in enumerate(pending, 1):
+        final = os.path.join(landed, "triples", "shard%03d" % k)
+        tmp = final + ".tmp"
+        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(final, ignore_errors=True)
+        os.makedirs(tmp)
+        kg_triples(fixture_dir, pages_ds=_read_pages(shards[k]),
+                   losers=losers).write_parquet(tmp)
+        os.rename(tmp, final)
+        stamp_manifest(landed, "triples-shard%03d" % k, "triples", final,
+                       inputs=shards[k])
+        if fail_after is not None and n >= fail_after:
+            raise RuntimeError("simulated crash after %d shards" % n)
     return len(pending)
 
 

@@ -1,21 +1,16 @@
 """Online exact-dedup via sharded hash-index actors.
 
-This mirrors the reference's dedup semantics directly: an INDEX probed per
-article (hash cache + S3 listing, ``aws/__init__.py:115-136``; T10/A5 in
-SURVEY.md) rather than a batch groupby.  N index actors each own a slice of
-the hash space and map each seen hash to its owning url.  The probe,
-``DedupFilter``, is a plain callable that runs inside whatever task calls
-it (in the flagship, the fused page task): it splits a batch's hashes by
-shard, asks all owners concurrently, and keeps only the rows each owner
-confirms.  All state lives in the shards, so the probe holds no CPU of
-its own and a retried batch is harmless.
+The flagship no longer uses this module: ``pipelines/kg.py`` dedups with a
+deterministic least-url loser list (``dedup_losers``).  It is kept only for
+the dedup layer of the benchmark (``kgbench/layers.py``).
 
-Scale notes (100 TB): membership state shards linearly with the actor count
-(place them across nodes); at 10^12 pages a production deployment swaps the
-in-memory set for a Bloom filter or RocksDB per shard — the interface stays
-the same.  First-seen wins, so WHICH of two identical pages survives depends
-on arrival order; content (and therefore all downstream semantics except the
-surviving url) is deterministic.
+An INDEX probed per article, as in the reference (hash cache + S3 listing,
+``aws/__init__.py:115-136``): N index actors each own a slice of the hash
+space and map each seen hash to its owning url.  The probe, ``DedupFilter``,
+is a plain callable that runs inside whatever task calls it: it splits a
+batch's hashes by shard, asks all owners concurrently, and keeps only the
+rows each owner confirms.  First-seen wins, so WHICH of two identical pages
+survives depends on arrival order, and a dead shard loses its state.
 """
 
 from __future__ import annotations

@@ -59,20 +59,3 @@ def add_page_hash(batch: pa.Table) -> pa.Table:
         hashes.append(h.hexdigest())
     return batch.append_column("page_hash", pa.array(hashes, type=pa.string()))
 
-
-def exact_dedup(ds, key: str = "page_hash"):
-    """Keep one row per content hash.  The key domain is ≈ rows-sized, so
-    the shuffle goes through relational.bucketed_map_groups (hash
-    buckets, one vectorized first-per-key pass per bucket) rather than
-    Ray's sort groupby whose per-group Python cost dominates at that
-    cardinality; groups are tiny (dup factor ≈ 1) so no combiner is
-    needed."""
-    from ie_ray.stages.relational import bucketed_map_groups
-
-    def bucket_first(g: pa.Table, _k=key) -> pa.Table:
-        import polars as pl
-        return pl.from_arrow(g).unique(subset=[_k], keep="first",
-                                       maintain_order=True).to_arrow() \
-            .cast(g.schema)
-
-    return bucketed_map_groups(ds, key, bucket_first)

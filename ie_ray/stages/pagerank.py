@@ -98,14 +98,12 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85, seeds=None):
     src = edges.select_columns(cols).map_batches(
         lambda t: t.rename_columns(["node"] + cols[1:]),
         batch_format="pyarrow")
-    # materialized: adaptive_join reads its right side twice (the count,
-    # then the block refs)
     outw = (bucketed_aggregate(src.select_columns(["node"] + cols[2:]),
                                "node",
                                [("w", "sum")] if weighted
                                else [("node", "count")])
             .map_batches(lambda t: t.rename_columns(["node", "outw"]),
-                         batch_format="pyarrow")).materialize()
+                         batch_format="pyarrow"))
     # loop-invariant: every edge row tagged with its source's out-weight
     edges_w = adaptive_join(src, outw, "node").materialize()
 
@@ -151,7 +149,7 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85, seeds=None):
 
 def pagerank_weighted_reference(src, dst, w, iters: int = 10,
                                 damping: float = 0.85) -> dict:
-    """Single-process NumPy twin of :func:`pagerank_weighted`."""
+    """Single-process NumPy twin of :func:`pagerank` with a ``w`` column."""
     nodes = sorted(set(src) | set(dst))
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
@@ -186,7 +184,7 @@ def pagerank_reference(src, dst, iters: int = 10,
 
 def pagerank_personalized_reference(src, dst, seeds, iters: int = 10,
                                     damping: float = 0.85):
-    """Dense NumPy twin of :func:`pagerank_personalized`."""
+    """Dense NumPy twin of :func:`pagerank` with ``seeds=``."""
     nodes = sorted(set(src) | set(dst))
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)

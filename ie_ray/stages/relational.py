@@ -470,8 +470,8 @@ def adaptive_join(left, right, on: str, broadcast_max_rows: int = 100_000,
     """Inner equi-join that picks its physical strategy by BUILD-side
     size — the planner decision every distributed engine makes:
 
-    * right side small (≤ ``broadcast_max_rows``, known from parquet
-      metadata or a cheap count) → **broadcast**: every worker builds
+    * right side small (≤ ``broadcast_max_rows``, counted once it is
+      materialized) → **broadcast**: every worker builds
       the right table once from its block refs (``_broadcast_build``,
       which also drops schema-less empty blocks) and every left block
       probes it with a vectorized ``index_in`` — zero shuffle, and the
@@ -483,6 +483,8 @@ def adaptive_join(left, right, on: str, broadcast_max_rows: int = 100_000,
     (enforced on the broadcast path).  Returns left columns + right
     payload columns.  Keys must be hashable scalars.
     """
+    # a lazy right side runs once: both paths consume these blocks
+    right = right.materialize()
     n_right = right.count()
     if n_right > broadcast_max_rows:
         from ie_ray.stages.dedup import _join_partitions
@@ -506,9 +508,7 @@ def adaptive_join(left, right, on: str, broadcast_max_rows: int = 100_000,
             return pa.table(cols)
 
         return left.map_batches(empty_joined, batch_format="pyarrow")
-    # the count above ran a lazy right side once; materialized, its block
-    # refs do not run it again
-    refs = right.materialize().to_arrow_refs()
+    refs = right.to_arrow_refs()
 
     def probe(t: pa.Table) -> pa.Table:
         keys, r = _broadcast_build(refs, on)

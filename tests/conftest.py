@@ -11,18 +11,3 @@ def ray_session():
     yield
     ray.shutdown()
 
-
-@pytest.fixture
-def dedup_shards_made(monkeypatch):
-    """Every dedup shard the KG pipelines create while the test runs."""
-    import ie_ray.pipelines.kg as kg
-    made, create = [], kg.create_dedup_index
-
-    def spy(*args, **kwargs):
-        shards = create(*args, **kwargs)
-        made.extend(shards)
-        return shards
-
-    monkeypatch.setattr(kg, "create_dedup_index", spy)
-    return made
-

@@ -74,3 +74,24 @@ def test_broadcast_build_side_skips_driver(monkeypatch):
     assert seen == []
     assert sorted((r["k"], r["lv"], r["rv"])
                   for r in out.take_all()) == WANT
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("broadcast_max_rows", [100, 1])
+def test_lazy_right_side_runs_once(tmp_path, broadcast_max_rows):
+    """A lazy right side is executed once per join, on either path."""
+    import uuid
+
+    import ray.data
+
+    def counted(t: pa.Table) -> pa.Table:
+        open(str(tmp_path / uuid.uuid4().hex), "w").close()
+        return t
+
+    right = ray.data.from_arrow(RIGHT).map_batches(counted,
+                                                   batch_format="pyarrow")
+    out = adaptive_join(ray.data.from_arrow(LEFT).repartition(3), right,
+                        "k", broadcast_max_rows=broadcast_max_rows)
+    assert sorted((r["k"], r["lv"], r["rv"])
+                  for r in out.take_all()) == WANT
+    assert len(list(tmp_path.iterdir())) == 1

@@ -46,16 +46,17 @@ def test_multidomain_extraction_unit():
 
 
 def test_exact_dedup(ray_session, fixture_dir):
-    import ray.data
-    from ie_ray.stages.extract import add_page_hash, exact_dedup
-    ds = ray.data.read_parquet(os.path.join(fixture_dir, "pages"))
-    ds = ds.map_batches(add_page_hash, batch_format="pyarrow")
-    total = ds.count()
-    deduped = exact_dedup(ds).count()
-    assert deduped < total  # the synthesizer plants syndicated duplicates
-    hashes = [r["page_hash"] for r in
-              exact_dedup(ds).select_columns(["page_hash"]).take_all()]
-    assert len(hashes) == len(set(hashes))
+    """The synthesizer plants syndicated duplicates: the page dedup drops
+    them and keeps one url per content hash."""
+    import ie_ray.pipelines.kg as kg
+    pages = kg._read_pages(os.path.join(fixture_dir, "pages"))
+    kept = kg._new_pages(pages, kg.dedup_losers(pages)).select_columns(
+        ["url", "page_hash"]).take_all()
+    assert len(kept) < kg._en_pages(pages).count()
+    urls = collections.defaultdict(set)
+    for r in kept:
+        urls[r["page_hash"]].add(r["url"])
+    assert all(len(u) == 1 for u in urls.values())
 
 
 def test_kg_triples_and_pr(ray_session, fixture_dir):
@@ -87,11 +88,16 @@ def _rows(path):
 
 
 def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path,
-                                dedup_shards_made, monkeypatch):
-    import ray
+                                monkeypatch):
+    from ray._private import state
     import ie_ray.pipelines.kg as kg
     out = str(tmp_path / "graph")
+    before = set(state.actors())
     res = kg.kg_full(fixture_dir, out_dir=out)
+    # Ray Data's own bookkeeping actors aside, the writer starts none
+    made = {a["ActorClassName"] for k, a in state.actors().items()
+            if k not in before}
+    assert made <= {"_StatsActor", "AutoscalingRequester"}, made
     assert res["nodes"] > 0 and res["edges"] > 0
     assert res["shards"] == res["shards_computed"] == 1
     assert os.path.isdir(os.path.join(out, "manifests"))
@@ -103,28 +109,22 @@ def test_graph_write_and_resume(ray_session, fixture_dir, tmp_path,
     tables = ("triples", "quarantine", "nodes", "edges")
     rows = {t: _rows(os.path.join(out, t)) for t in tables}
     assert rows["triples"] > 0 and rows["quarantine"] > 0
-    made = len(dedup_shards_made)
-    assert made >= 1
 
     # a second run on the finished out_dir recomputes no triples, makes
-    # no dedup index and rewrites the same tables: no row is duplicated
-    def no_triples(*args, **kwargs):
-        raise AssertionError("kg_triples ran on a landed out_dir")
-    monkeypatch.setattr(kg, "kg_triples", no_triples)
+    # no loser list and rewrites the same tables: no row is duplicated
+    def not_run(*args, **kwargs):
+        raise AssertionError("a landed out_dir reran the page stages")
+    monkeypatch.setattr(kg, "kg_triples", not_run)
+    monkeypatch.setattr(kg, "dedup_losers", not_run)
     res2 = kg.kg_full(fixture_dir, out_dir=out)
     assert res2["shards_computed"] == 0
     assert res2["nodes"] == res["nodes"] and res2["edges"] == res["edges"]
     assert {t: _rows(os.path.join(out, t)) for t in tables} == rows
-    assert len(dedup_shards_made) == made
-    # the first run killed its dedup shards on return
-    for shard in dedup_shards_made:
-        with pytest.raises(ray.exceptions.RayActorError):
-            ray.get(shard.size.remote(), timeout=60)
 
 
 def test_kg_triples_plan_is_one_fused_task(ray_session, fixture_dir):
     """The consumed flagship plan is two physical operators: the read and
-    ONE fused task running every page stage, the dedup probe,
+    ONE fused task running every page stage, the loser-list probe,
     segmentation and parse/compose/link.  No actor pool."""
     import ray.data
     from ie_ray.pipelines.kg import kg_triples
@@ -133,8 +133,9 @@ def test_kg_triples_plan_is_one_fused_task(ray_session, fixture_dir):
     ops = [line for line in stats.splitlines()
            if line.startswith("Operator ")]
     assert len(ops) == 2, stats
-    assert "MapBatches(DedupFilter)->MapBatches(segment_batch)" \
-        "->MapBatches(ParseComposeActor)" in ops[1], ops
+    assert "MapBatches(add_page_hash)->MapBatches(drop_dedup_losers)" \
+        "->MapBatches(segment_batch)->MapBatches(ParseComposeActor)" \
+        in ops[1], ops
     # the stats text names no compute strategy: read it off the logical
     # plan, where an actor-pool stage carries an ActorPoolStrategy
     todo = [ds._logical_plan.dag]
@@ -145,40 +146,113 @@ def test_kg_triples_plan_is_one_fused_task(ray_session, fixture_dir):
         todo.extend(op.input_dependencies)
 
 
-def test_kg_triples_dead_dedup_shard_raises(fixture_dir):
-    """A dedup shard that died before the run makes ``kg_triples`` raise
-    within 120 s: it neither hangs nor returns rows."""
-    script = ("import sys, ray\n"
-              "ray.init(address='local', num_cpus=2, "
-              "include_dashboard=False)\n"
-              "from ie_ray.pipelines.kg import kg_triples\n"
-              "from ie_ray.stages.dedup_index import create_dedup_index\n"
-              "shards = create_dedup_index()\n"
-              "ray.kill(shards[0])\n"
-              "try:\n"
-              "    rows = kg_triples(sys.argv[1], "
-              "dedup_shards=shards).take_all()\n"
-              "except Exception as e:\n"
-              "    print('RAISED', type(e).__name__)\n"
-              "else:\n"
-              "    print('ROWS', len(rows))\n")
-    proc = subprocess.run([sys.executable, "-c", script, fixture_dir],
-                          capture_output=True, text=True, cwd=REPO,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split()[-2] == "RAISED", proc.stdout[-2000:]
+def _distinct_en_pages(fixture_dir, n):
+    """``n`` (html, page_hash) pairs of English fixture pages, each with
+    its own text."""
+    import pyarrow.parquet as pq
+    from ie_ray.stages.extract import add_page_hash, extract_text_batch
+    t = pq.read_table(os.path.join(fixture_dir, "pages"),
+                      columns=["url", "html", "lang"])
+    hashes = add_page_hash(extract_text_batch(t)).column("page_hash")
+    out, seen = [], set()
+    for html, lang, h in zip(t.column("html").to_pylist(),
+                             t.column("lang").to_pylist(),
+                             hashes.to_pylist()):
+        if lang == "en" and h not in seen:
+            seen.add(h)
+            out.append((html, h))
+    return out[:n]
+
+
+def test_dedup_keeps_least_url(ray_session, fixture_dir, tmp_path):
+    """Duplicate texts arriving in reversed url order across files: the
+    least url of each page hash survives, with every row that has it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ie_ray.pipelines.kg as kg
+    (h0, k0), (h1, k1) = _distinct_en_pages(fixture_dir, 2)
+    files = [[("http://x/c", h0, "en"), ("http://x/d", h1, "en"),
+              ("http://x/a", h0, "de")],
+             [("http://x/b", h0, "en"), ("http://x/b", h0, "en"),
+              ("http://x/e", h1, "en")]]
+    os.makedirs(str(tmp_path / "pages"))
+    for i, rows in enumerate(files):
+        pq.write_table(pa.table({
+            "url": [r[0] for r in rows],
+            "html": pa.array([r[1] for r in rows], type=pa.binary()),
+            "lang": [r[2] for r in rows]}),
+            str(tmp_path / "pages" / ("part-%05d.parquet" % i)))
+    pages = kg._read_pages(str(tmp_path / "pages"))
+    losers = kg.dedup_losers(pages)
+    assert sorted((r["page_hash"], r["url"]) for r in losers.take_all()) \
+        == sorted([(k0, "http://x/c"), (k1, "http://x/e")])
+    kept = kg._new_pages(pages, losers).select_columns(["url", "page_hash"])
+    assert sorted((r["url"], r["page_hash"]) for r in kept.take_all()) \
+        == [("http://x/b", k0), ("http://x/b", k0), ("http://x/d", k1)]
+    urls = collections.Counter(
+        r["url"] for r in kg.kg_triples(fixture_dir, pages_ds=pages)
+        .take_all())
+    assert set(urls) == {"http://x/b", "http://x/d"}
+    assert urls["http://x/b"] % 2 == 0
+
+
+def _json_rows(rows):
+    return sorted(json.dumps(r, sort_keys=True, default=str) for r in rows)
+
+
+def test_kg_triples_is_deterministic(ray_session, fixture_dir):
+    """Two runs give byte-identical sorted rows, url included, also when
+    the second reads the pages in reversed row order."""
+    import pyarrow.parquet as pq
+    import ray.data
+    from ie_ray.pipelines.kg import kg_triples
+    first = _json_rows(kg_triples(fixture_dir).take_all())
+    t = pq.read_table(os.path.join(fixture_dir, "pages"),
+                      columns=["url", "html", "lang"])
+    backwards = ray.data.from_arrow(
+        t.take(list(range(t.num_rows - 1, -1, -1)))).repartition(4)
+    assert _json_rows(kg_triples(fixture_dir, pages_ds=backwards)
+                      .take_all()) == first
+
+
+def test_kg_triples_survives_a_dead_worker(ray_session, fixture_dir,
+                                           tmp_path):
+    """A page stage that kills its worker process once: Ray re-runs the
+    lost task from its lineage and the rows are the same, whether the
+    death hits the key pass or the fused page task."""
+    import ie_ray.pipelines.kg as kg
+    marker = str(tmp_path / "died")
+
+    def die_once(t):
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            os._exit(1)
+        return t
+
+    def flaky_pages():
+        return kg._read_pages(os.path.join(fixture_dir, "pages")) \
+            .map_batches(die_once, batch_format="pyarrow")
+
+    want = _json_rows(kg.kg_triples(fixture_dir).take_all())
+    # the key pass reads the pages first, so it takes the death
+    assert _json_rows(kg.kg_triples(fixture_dir, pages_ds=flaky_pages())
+                      .take_all()) == want
+    # a ready loser list: the death hits the fused page task
+    losers = kg.dedup_losers(flaky_pages())
+    os.remove(marker)
+    assert _json_rows(kg.kg_triples(fixture_dir, pages_ds=flaky_pages(),
+                                    losers=losers).take_all()) == want
 
 
 def _sorted_rows(parquet_dir):
     import pyarrow.parquet as pq
-    return sorted(json.dumps(r, sort_keys=True, default=str)
-                  for r in pq.read_table(parquet_dir).to_pylist())
+    return _json_rows(pq.read_table(parquet_dir).to_pylist())
 
 
 def test_kg_triples_one_cpu(ray_session, fixture_dir, tmp_path):
     """A 1-CPU session finishes (the read and the fused page task are
-    the only CPU users; the dedup shards reserve none) with the same
-    triples as the multi-CPU session."""
+    the only CPU users) with the same triples as the multi-CPU
+    session."""
     from ie_ray.pipelines.kg import kg_triples
     one, many = str(tmp_path / "one_cpu"), str(tmp_path / "session")
     script = ("import sys, ray\n"
