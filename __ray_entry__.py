@@ -151,7 +151,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from ie_ray.pipelines.kg import default_fixture_dir, kg_triples
     from ie_ray.stages import dedup, similarity, textstats
     from ie_ray.stages.graph import build_edges, build_nodes
-    from ie_ray.stages.relational import lowcard_combine
+    from ie_ray.stages.relational import lowcard_aggregate, lowcard_combine
 
     # -- documents table -------------------------------------------------
 
@@ -176,16 +176,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                          batch_format="pyarrow")
 
     def lang_counts(sf_dir):
-        def partial(t: pa.Table) -> pa.Table:
-            return t.select(["lang"]).group_by("lang").aggregate(
-                [([], "count_all")]).rename_columns(["lang", "n"])
-
-        def final(t: pa.Table) -> pa.Table:
-            g = t.group_by("lang").aggregate([("n", "sum")])
-            return pa.table({"lang": g.column("lang"),
-                             "n": g.column("n_sum").cast(pa.int64())})
-
-        return lowcard_combine(_docs(sf_dir), partial, final)
+        return lowcard_aggregate(
+            _docs(sf_dir), "lang", [([], "count_all")],
+            lambda t: t.rename_columns(["lang", "n"]))
 
     def paragraph_counts(sf_dir):
         def count(b: pa.Table) -> pa.Table:
@@ -330,36 +323,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
                   columns=["l_returnflag", "l_linestatus", "l_quantity",
                            "l_extendedprice"])
 
-        def partial(t: pa.Table) -> pa.Table:
-            g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-                [("l_quantity", "sum"), ("l_extendedprice", "sum"),
-                 ("l_quantity", "count")])
-            return g.rename_columns(
-                ["l_returnflag", "l_linestatus", "sum_qty",
-                 "sum_base_price", "count_order"])
-
-        def final(t: pa.Table) -> pa.Table:
+        def finish(g: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
-            g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-                [("sum_qty", "sum"), ("sum_base_price", "sum"),
-                 ("count_order", "sum")])
             return pa.table({
                 "l_returnflag": g.column("l_returnflag"),
                 "l_linestatus": g.column("l_linestatus"),
-                "sum_qty": pc.round(g.column("sum_qty_sum"), 2),
+                "sum_qty": pc.round(g.column("l_quantity_sum"), 2),
                 "sum_base_price": pc.round(
-                    g.column("sum_base_price_sum"), 2),
-                "count_order": g.column("count_order_sum")
-                               .cast(pa.int64())})
+                    g.column("l_extendedprice_sum"), 2),
+                "count_order": g.column("l_quantity_count")})
 
-        return lowcard_combine(ds, partial, final)
+        return lowcard_aggregate(
+            ds, ["l_returnflag", "l_linestatus"],
+            [("l_quantity", "sum"), ("l_extendedprice", "sum"),
+             ("l_quantity", "count")], finish)
 
     def q1_incremental_refresh(sf_dir):
         """Incremental view maintenance with RETRACTIONS (the TPC-H
         RF1/RF2 shape, relational sibling of kg_incremental): the q1
         aggregate is maintained from three independently-arriving
         deltas — base load, an insert batch, a delete batch — via
-        SIGNED partials (sign·cents, sign·1) that tree-combine like
+        SIGNED partials (sign·cents, sign·1) that sum like
         any other mergeable aggregate; groups whose maintained count
         reaches zero vanish.  Exact int64 cents make the subtraction
         safe (float partial sums would not cancel exactly).  The
@@ -382,19 +366,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 bp_c = np.round(np.asarray(
                     t.column("l_extendedprice"), dtype=np.float64)
                     * 100.0).astype(np.int64) * sign
-                g = pa.table({
+                return pa.table({
                     "l_returnflag": t.column("l_returnflag"),
                     "l_linestatus": t.column("l_linestatus"),
                     "qty_c": pa.array(qty_c),
                     "bp_c": pa.array(bp_c),
                     "n": pa.array(np.full(t.num_rows, sign,
-                                          dtype=np.int64))}) \
-                    .group_by(["l_returnflag", "l_linestatus"]) \
-                    .aggregate([("qty_c", "sum"), ("bp_c", "sum"),
-                                ("n", "sum")])
-                return g.rename_columns(
-                    ["l_returnflag", "l_linestatus", "qty_c",
-                     "bp_c", "n"])
+                                          dtype=np.int64))})
             return fn
 
         src = lambda: _tbl(sf_dir, "lineitem", columns=cols)  # noqa
@@ -405,27 +383,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         dele = src().map_batches(
             delta(lambda k: k % 97 == 0, -1), batch_format="pyarrow")
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by(["l_returnflag", "l_linestatus"]) \
-                .aggregate([("qty_c", "sum"), ("bp_c", "sum"),
-                            ("n", "sum")]).rename_columns(
-                ["l_returnflag", "l_linestatus", "qty_c", "bp_c",
-                 "n"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
-            t = t.filter(pc.greater(t.column("n"), 0))
+        def finish(t: pa.Table) -> pa.Table:
+            t = t.filter(pc.greater(t.column("n_sum"), 0))
             return pa.table({
                 "l_returnflag": t.column("l_returnflag"),
                 "l_linestatus": t.column("l_linestatus"),
                 "sum_qty": pc.round(pc.divide(
-                    t.column("qty_c").cast(pa.float64()), 100.0), 2),
+                    t.column("qty_c_sum").cast(pa.float64()), 100.0), 2),
                 "sum_base_price": pc.round(pc.divide(
-                    t.column("bp_c").cast(pa.float64()), 100.0), 2),
-                "count_order": t.column("n").cast(pa.int64())})
+                    t.column("bp_c_sum").cast(pa.float64()), 100.0), 2),
+                "count_order": t.column("n_sum")})
 
-        return lowcard_combine(base.union(ins).union(dele),
-                               combine, final)
+        return lowcard_aggregate(
+            base.union(ins).union(dele), ["l_returnflag", "l_linestatus"],
+            [("qty_c", "sum"), ("bp_c", "sum"), ("n", "sum")], finish)
 
     def orders_backlog_timeseries(sf_dir):
         """Event-sourced running balance across two tables (the
@@ -440,59 +411,41 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         DAY = 86_400_000_000
 
-        def placed_partial(t: pa.Table) -> pa.Table:
-            d = pc.divide(t.column("o_orderdate")
-                          .cast(pa.timestamp("us")).cast(pa.int64()),
-                          DAY)
-            g = pa.table({"day": d}).group_by("day").aggregate(
-                [([], "count_all")])
-            return g.rename_columns(["day", "placed"]) \
-                .append_column("completed", pa.array(
-                    np.zeros(g.num_rows, dtype=np.int64)))
+        def day_rows(col, placed):
+            def fn(t: pa.Table) -> pa.Table:
+                d = pc.divide(t.column(col).cast(pa.timestamp("us"))
+                              .cast(pa.int64()), DAY)
+                one = np.ones(len(d), dtype=np.int64)
+                return pa.table({"day": d, "placed": one * placed,
+                                 "completed": one * (1 - placed)})
+            return fn
 
         placed = _tbl(sf_dir, "orders", columns=["o_orderdate"]) \
-            .map_batches(placed_partial, batch_format="pyarrow")
+            .map_batches(day_rows("o_orderdate", 1),
+                         batch_format="pyarrow")
 
         li = _tbl(sf_dir, "lineitem",
                   columns=["l_orderkey", "l_shipdate"])
         last_ship = bucketed_aggregate(li, "l_orderkey",
                                        [("l_shipdate", "max")])
 
-        def completed_partial(t: pa.Table) -> pa.Table:
-            d = pc.divide(t.column("l_shipdate_max")
-                          .cast(pa.timestamp("us"))
-                          .cast(pa.int64()), DAY)
-            g = pa.table({"day": d}).group_by("day").aggregate(
-                [([], "count_all")])
-            g = g.rename_columns(["day", "completed"])
-            return pa.table({
-                "day": g.column("day"),
-                "placed": pa.array(np.zeros(g.num_rows,
-                                            dtype=np.int64)),
-                "completed": g.column("completed").cast(pa.int64())})
+        completed = last_ship.map_batches(
+            day_rows("l_shipdate_max", 0), batch_format="pyarrow")
 
-        completed = last_ship.map_batches(completed_partial,
-                                          batch_format="pyarrow")
-
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("day").aggregate(
-                [("placed", "sum"), ("completed", "sum")]) \
-                .rename_columns(["day", "placed", "completed"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             o = np.argsort(np.asarray(t.column("day"),
                                       dtype=np.int64))
             day = np.asarray(t.column("day"), dtype=np.int64)[o]
-            p = np.asarray(t.column("placed"), dtype=np.int64)[o]
-            c = np.asarray(t.column("completed"), dtype=np.int64)[o]
+            p = np.asarray(t.column("placed_sum"), dtype=np.int64)[o]
+            c = np.asarray(t.column("completed_sum"), dtype=np.int64)[o]
             return pa.table({
                 "day": pa.array(day), "placed": pa.array(p),
                 "completed": pa.array(c),
                 "backlog": pa.array(np.cumsum(p - c))})
 
-        return lowcard_combine(placed.union(completed), combine,
-                               final)
+        return lowcard_aggregate(
+            placed.union(completed), "day",
+            [("placed", "sum"), ("completed", "sum")], finish)
 
     def orders_per_segment(sf_dir):
         # broadcast hash join: customer (small side) shipped once via ray.put
@@ -526,19 +479,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ds = _tbl(sf_dir, "orders", columns=["o_custkey"])
         joined = ds.map_batches(join, batch_format="pyarrow")
 
-        def partial(t: pa.Table) -> pa.Table:
-            return t.group_by("c_mktsegment").aggregate(
-                [([], "count_all")]).rename_columns(
-                ["c_mktsegment", "n_orders"])
-
-        def final(t: pa.Table) -> pa.Table:
-            g = t.group_by("c_mktsegment").aggregate(
-                [("n_orders", "sum")])
-            return pa.table({
-                "c_mktsegment": g.column("c_mktsegment"),
-                "n_orders": g.column("n_orders_sum").cast(pa.int64())})
-
-        return lowcard_combine(joined, partial, final)
+        return lowcard_aggregate(
+            joined, "c_mktsegment", [([], "count_all")],
+            lambda t: t.rename_columns(["c_mktsegment", "n_orders"]))
 
     def top10_parts(sf_dir):
         ds = _tbl(sf_dir, "part",
@@ -551,24 +494,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # reducer (lowcard_combine) instead of a sort-based shuffle
         ds = _tbl(sf_dir, "events", columns=["event_type", "value"])
 
-        def partial(t: pa.Table) -> pa.Table:
-            g = t.group_by("event_type").aggregate(
-                [([], "count_all"), ("value", "sum")])
-            return g.rename_columns(["event_type", "n", "total_value"])
-
-        def final(t: pa.Table) -> pa.Table:
+        def finish(g: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
-            g = t.group_by("event_type").aggregate(
-                [("n", "sum"), ("total_value", "sum")])
             return pa.table({
                 "event_type": g.column("event_type"),
-                "n": g.column("n_sum").cast(pa.int64()),
-                "total_value": pc.round(g.column("total_value_sum"), 2)})
+                "n": g.column("count_all"),
+                "total_value": pc.round(g.column("value_sum"), 2)})
 
-        return lowcard_combine(ds, partial, final)
+        return lowcard_aggregate(
+            ds, "event_type", [([], "count_all"), ("value", "sum")], finish)
 
     def nation_region(sf_dir):
-        import ray as _ray
         import pyarrow.parquet as pq
         reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
         rm = dict(zip(reg.column("r_regionkey").to_pylist(),
@@ -606,37 +542,23 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "value": pa.array(cents),
             })
 
-        def partial(t: pa.Table) -> pa.Table:
-            g = t.group_by(["window_start", "event_type"]).aggregate(
-                [([], "count_all"), ("value", "sum")])
-            return g.rename_columns(
-                ["window_start", "event_type", "n", "total_value"])
-
-        def combine(t: pa.Table) -> pa.Table:
-            g = t.group_by(["window_start", "event_type"]).aggregate(
-                [("n", "sum"), ("total_value", "sum")])
-            return g.rename_columns(
-                ["window_start", "event_type", "n", "total_value"])
-
-        def final(t: pa.Table) -> pa.Table:
+        def finish(g: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
-            g = t.group_by(["window_start", "event_type"]).aggregate(
-                [("n", "sum"), ("total_value", "sum")])
             return pa.table({
                 "window_start": g.column("window_start"),
                 "event_type": g.column("event_type"),
-                "n": g.column("n_sum").cast(pa.int64()),
+                "n": g.column("count_all"),
                 "total_value": pc.round(pc.divide(
-                    g.column("total_value_sum").cast(pa.float64()),
+                    g.column("value_sum").cast(pa.float64()),
                     100.0), 2)})
 
         # windows × types GROWS with the time range (a decade of hours
-        # ≈ 90k keys) — too wide for the bare single-reducer contract at
-        # high block counts, so the partials tree-reduce through a
-        # mergeable combine level before the final task
-        return lowcard_combine(
-            ds.map_batches(wnd, batch_format="pyarrow"), partial, final,
-            combine_fn=combine)
+        # ≈ 90k keys): once the block partials are many, lowcard_combine
+        # tree-reduces them before the final task
+        return lowcard_aggregate(
+            ds.map_batches(wnd, batch_format="pyarrow"),
+            ["window_start", "event_type"],
+            [([], "count_all"), ("value", "sum")], finish)
 
     def events_user_stats(sf_dir):
         from ie_ray.stages.relational import bucketed_aggregate
@@ -755,39 +677,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def docs_lang_pivot(sf_dir):
         """Pivot/crosstab: doc counts per source spread across one column
-        per language.  The lang domain is fixed and small, so each block
-        emits ONE row per source with 5 partial-count columns
-        (combiner-friendly) and the exchange is O(sources)."""
+        per language.  The lang domain is fixed and small, so every row
+        becomes a 0/1 indicator per language and each block sums them
+        to ONE row per source: the exchange is O(sources)."""
         import pyarrow.compute as pc
 
-        def partial(t: pa.Table) -> pa.Table:
-            g = t.select(["source", "lang"]).group_by(
-                ["source", "lang"]).aggregate([([], "count_all")])
-            src = sorted(set(g.column("source").to_pylist()))
-            sidx = {s: i for i, s in enumerate(src)}
-            import numpy as np
-            counts = np.zeros((len(src), len(_LANGS)), dtype=np.int64)
-            for s, l, n in zip(g.column("source").to_pylist(),
-                               g.column("lang").to_pylist(),
-                               g.column("count_all").to_pylist()):
-                if l in _LANGS:
-                    counts[sidx[s], _LANGS.index(l)] += n
-            cols = {"source": pa.array(src, type=pa.string())}
-            for j, l in enumerate(_LANGS):
-                cols["n_" + l] = pa.array(counts[:, j], type=pa.int64())
-            return pa.table(cols)
-
-        def finish(t: pa.Table) -> pa.Table:
-            g = t.group_by("source").aggregate(
-                [("n_" + l, "sum") for l in _LANGS])
-            cols = {"source": g.column("source")}
+        def onehot(t: pa.Table) -> pa.Table:
+            cols = {"source": t.column("source")}
             for l in _LANGS:
-                cols["n_" + l] = g.column("n_%s_sum" % l).cast(pa.int64())
+                cols["n_" + l] = pc.fill_null(
+                    pc.equal(t.column("lang"), l), False).cast(pa.int64())
             return pa.table(cols)
 
-        return lowcard_combine(
-            _tbl(sf_dir, "documents", columns=["source", "lang"]),
-            partial, finish)
+        return lowcard_aggregate(
+            _tbl(sf_dir, "documents", columns=["source", "lang"])
+            .map_batches(onehot, batch_format="pyarrow"),
+            "source", [("n_" + l, "sum") for l in _LANGS],
+            lambda t: t.rename_columns(
+                ["source"] + ["n_" + l for l in _LANGS]))
 
     def docs_longest100(sf_dir):
         """Global top-100 documents by length: distributed `Dataset.sort`
@@ -805,27 +712,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import numpy as np
         import pyarrow.compute as pc
 
-        def partial(t: pa.Table) -> pa.Table:
+        def binned(t: pa.Table) -> pa.Table:
             v = np.asarray(t.column("value"))
             b = np.floor(v / 50.0).astype(np.int64)
-            part = pa.table({"bin": pa.array(b, type=pa.int64()),
+            return pa.table({"bin": pa.array(b, type=pa.int64()),
                              "v": pa.array(v, type=pa.float64())})
-            g = part.group_by("bin").aggregate(
-                [("v", "sum"), ([], "count_all")])
-            return g.rename_columns(["bin", "s", "n"])
 
-        def finish(t: pa.Table) -> pa.Table:
-            g = t.group_by("bin").aggregate(
-                [("s", "sum"), ("n", "sum")])
-            n = g.column("n_sum").cast(pa.int64())
+        def finish(g: pa.Table) -> pa.Table:
+            n = g.column("count_all")
             return pa.table({
                 "bin": g.column("bin"),
                 "n": n,
                 "avg_value": pc.round(pc.divide(
-                    g.column("s_sum"), n.cast(pa.float64())), 4)})
+                    g.column("v_sum"), n.cast(pa.float64())), 4)})
 
-        return lowcard_combine(_tbl(sf_dir, "events", columns=["value"]),
-                               partial, finish)
+        return lowcard_aggregate(
+            _tbl(sf_dir, "events", columns=["value"])
+            .map_batches(binned, batch_format="pyarrow"),
+            "bin", [("v", "sum"), ([], "count_all")], finish)
 
     def events_corr_value_time(sf_dir):
         """Pearson corr(value, event time) per event type via CENTERED
@@ -985,40 +889,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def events_rollup(sf_dir):
         """ROLLUP-style hierarchical aggregate: event counts at three
         levels — (type, hour-of-day), (type), grand total — computed in
-        ONE pass: each block emits tagged partials for every level, one
-        groupby sums them (sentinels: type='ALL', hr=-1)."""
+        ONE pass: every row emits one tagged copy per level and one
+        count sums them (sentinels: type='ALL', hr=-1)."""
         import numpy as np
 
-        def partial(t: pa.Table) -> pa.Table:
+        def levels(t: pa.Table) -> pa.Table:
             hr = pa.compute.hour(
                 t.column("ts").cast(pa.timestamp("us"))).cast(pa.int64())
-            base = pa.table({"event_type": t.column("event_type"),
-                             "hr": hr})
-            l0 = base.group_by(["event_type", "hr"]).aggregate(
-                [([], "count_all")]).rename_columns(
-                ["event_type", "hr", "n"])
-            l1 = base.group_by("event_type").aggregate(
-                [([], "count_all")]).rename_columns(["event_type", "n"])
-            l1 = pa.table({
-                "event_type": l1.column("event_type"),
-                "hr": pa.array(np.full(l1.num_rows, -1), type=pa.int64()),
-                "n": l1.column("n")})
-            l2 = pa.table({
-                "event_type": pa.array(["ALL"]),
-                "hr": pa.array([-1], type=pa.int64()),
-                "n": pa.array([t.num_rows], type=pa.int64())})
-            return pa.concat_tables([l0, l1, l2])
+            none = pa.array(np.full(t.num_rows, -1), type=pa.int64())
+            return pa.concat_tables([
+                pa.table({"event_type": t.column("event_type"),
+                          "hr": hr}),
+                pa.table({"event_type": t.column("event_type"),
+                          "hr": none}),
+                pa.table({"event_type": pa.array(["ALL"] * t.num_rows),
+                          "hr": none})])
 
-        def finish(t: pa.Table) -> pa.Table:
-            g = t.group_by(["event_type", "hr"]).aggregate(
-                [("n", "sum")])
-            return pa.table({"event_type": g.column("event_type"),
-                             "hr": g.column("hr"),
-                             "n": g.column("n_sum").cast(pa.int64())})
-
-        return lowcard_combine(
-            _tbl(sf_dir, "events", columns=["event_type", "ts"]),
-            partial, finish)
+        return lowcard_aggregate(
+            _tbl(sf_dir, "events", columns=["event_type", "ts"])
+            .map_batches(levels, batch_format="pyarrow"),
+            ["event_type", "hr"], [([], "count_all")],
+            lambda t: t.rename_columns(["event_type", "hr", "n"]))
 
     def doc_compression_ratio(sf_dir):
         """Gopher-style compressibility quality signal: zlib-compressed
@@ -1083,7 +974,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         block (the exchange moves (user, partial_n), not rows); the
         outer join is the tagged-union groupby from relational.py's
         contract — no broadcast, no driver map."""
-        import numpy as np
 
         def ev_partial(t: pa.Table) -> pa.Table:
             g = t.group_by("user_id").aggregate([([], "count_all")])
@@ -1209,7 +1099,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         first day (block partial mins → groupby min), joined back by a
         hash join; (2) distinct (cohort, offset, user) → counts via the
         block-dedup trick."""
-        import numpy as np
         from ie_ray.stages.dedup import _join_partitions
 
         ev = _tbl(sf_dir, "events", columns=["user_id", "ts"])
@@ -1303,16 +1192,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         # sum/min/max reduce together in one single-task final (4 keys,
         # one partial row per block per key)
-        def finish(t: pa.Table) -> pa.Table:
+        def finish(g: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
-            g = t.group_by("col").aggregate(
-                [("n", "sum"), ("n_null", "sum"), ("mn", "min"),
-                 ("mx", "max"), ("s", "sum")])
-            n = g.column("n_sum").cast(pa.int64())
+            n = g.column("n_sum")
             return pa.table({
                 "col": g.column("col"),
                 "n": n,
-                "n_null": g.column("n_null_sum").cast(pa.int64()),
+                "n_null": g.column("n_null_sum"),
                 "min_v": pc.round(g.column("mn_min"), 4),
                 "max_v": pc.round(g.column("mx_max"), 4),
                 "mean_v": pc.divide(
@@ -1320,9 +1206,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     pc.multiply(pa.scalar(10000.0),
                                 n.cast(pa.float64())))})
 
-        return lowcard_combine(
-            _tbl(sf_dir, "lineitem", columns=list(_PROFILE_COLS)),
-            partial, finish)
+        return lowcard_aggregate(
+            _tbl(sf_dir, "lineitem", columns=list(_PROFILE_COLS))
+            .map_batches(partial, batch_format="pyarrow"), "col",
+            [("n", "sum"), ("n_null", "sum"), ("mn", "min"),
+             ("mx", "max"), ("s", "sum")], finish)
 
     def events_top3_per_user(sf_dir):
         """Windowed row_number() ≤ 3 per user by value (top-k-per-group
@@ -1370,20 +1258,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         block-level combiner."""
         ds = _tbl(sf_dir, "events", columns=["event_type", "props"])
 
-        def partial(t: pa.Table) -> pa.Table:
+        def parse(t: pa.Table) -> pa.Table:
             import json as _json
             ks = [_json.loads(p)["k"] for p in t.column("props").to_pylist()]
-            tt = pa.table({"event_type": t.column("event_type"),
-                           "k": pa.array(ks, type=pa.int64())})
-            g = tt.group_by(["event_type"]).aggregate(
-                [("k", "sum"), ("k", "count")])
-            return g.rename_columns(["event_type", "k_sum", "n"])
+            return pa.table({"event_type": t.column("event_type"),
+                             "k": pa.array(ks, type=pa.int64())})
 
-        def final(t: pa.Table) -> pa.Table:
-            g = t.group_by("event_type").aggregate(
-                [("k_sum", "sum"), ("n", "sum")])
-            ks = g.column("k_sum_sum").to_pylist()
-            ns = g.column("n_sum").to_pylist()
+        def finish(g: pa.Table) -> pa.Table:
+            ks = g.column("k_sum").to_pylist()
+            ns = g.column("k_count").to_pylist()
             return pa.table({
                 "event_type": g.column("event_type"),
                 "n": pa.array(ns, type=pa.int64()),
@@ -1391,7 +1274,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                    for a, b in zip(ks, ns)],
                                   type=pa.float64())})
 
-        return lowcard_combine(ds, partial, final)
+        return lowcard_aggregate(
+            ds.map_batches(parse, batch_format="pyarrow"), "event_type",
+            [("k", "sum"), ("k", "count")], finish)
 
     def events_value_quantiles(sf_dir):
         """Exact per-group quantiles (linear interpolation — DuckDB
@@ -1435,7 +1320,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         out = latest_per_group(ds, "user_id", "ts", "event_id")
 
         def finish(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc_
             return pa.table({
                 "user_id": t.column("user_id"),
                 "ts_us": t.column("ts").cast(pa.timestamp("us"))
@@ -1460,7 +1344,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         def partial(t: pa.Table) -> pa.Table:
             import numpy as np
-            import pyarrow.compute as pc_
             ts = t.column("ts").cast(pa.timestamp("us")).cast(pa.int64())
             tsv = np.asarray(ts, dtype=np.int64)
             types = t.column("event_type").to_pylist()
@@ -1865,7 +1748,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         def third(want: bool):
             def fn(b: pa.Table) -> pa.Table:
-                import numpy as np
                 m = b.column("doc_id").to_numpy() % 3 == 0
                 return b.filter(pa.array(m if want else ~m))
             return fn
@@ -2411,10 +2293,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "s": pa.array(out_s, type=pa.float64()),
                 "n": pa.array(out_n, type=pa.int64())})
 
-        def finish(b: pa.Table) -> pa.Table:
+        def finish(g: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
-            g = b.group_by(["label", "dim"]).aggregate(
-                [("s", "sum"), ("n", "sum")])
             return pa.table({
                 "label": g.column("label"),
                 "dim": g.column("dim"),
@@ -2423,7 +2303,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                             pa.float64()))})
 
         # label × dim keys are bounded by construction → single reducer
-        return lowcard_combine(emb, partials, finish)
+        return lowcard_aggregate(
+            emb.map_batches(partials, batch_format="pyarrow"),
+            ["label", "dim"], [("s", "sum"), ("n", "sum")], finish)
 
     def embedding_outliers(sf_dir):
         """Embedding QC: vectors farther than τ=1.0 from their label's
@@ -2512,18 +2394,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return pairs.groupby("stem").map_groups(agg, batch_format="pyarrow")
 
     def order_status_counts(sf_dir):
-        def partial(t: pa.Table) -> pa.Table:
-            return t.group_by("o_orderstatus").aggregate(
-                [([], "count_all")]).rename_columns(["o_orderstatus", "n"])
-
-        def final(t: pa.Table) -> pa.Table:
-            g = t.group_by("o_orderstatus").aggregate([("n", "sum")])
-            return pa.table({"o_orderstatus": g.column("o_orderstatus"),
-                             "n": g.column("n_sum").cast(pa.int64())})
-
-        return lowcard_combine(
+        return lowcard_aggregate(
             _tbl(sf_dir, "orders", columns=["o_orderstatus"]),
-            partial, final)
+            "o_orderstatus", [([], "count_all")],
+            lambda t: t.rename_columns(["o_orderstatus", "n"]))
 
     # -- KG pipeline (synthetic pages; rows-only checks) ----------------
 
@@ -2701,32 +2575,23 @@ def queries() -> dict[str, Callable[[str], Any]]:
         sibling of the KL monitor (KL needs shared-token smoothing; KS
         is binless and assumption-free).  Length sits on a bounded
         grid, so each block reduces to (source, len, n) counts, ONE
-        lowcard tree-combine carries both empirical CDFs, and the
+        lowcard aggregate carries both empirical CDFs, and the
         final task evaluates D = max|F_src − F_all| on the pooled
         support.  Division and rounding replicated op-for-op (half-
         away) so the float output matches DuckDB exactly."""
         import numpy as np
         import pyarrow.compute as pc
 
-        def partial(t: pa.Table) -> pa.Table:
-            g = pa.table({
+        def lengths(t: pa.Table) -> pa.Table:
+            return pa.table({
                 "source": t.column("source"),
-                "len": pc.utf8_length(t.column("text"))
-                .cast(pa.int64())}) \
-                .group_by(["source", "len"]).aggregate(
-                [([], "count_all")])
-            return g.rename_columns(["source", "len", "n"])
+                "len": pc.utf8_length(t.column("text")).cast(pa.int64())})
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by(["source", "len"]).aggregate(
-                [("n", "sum")]).rename_columns(["source", "len", "n"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             src = np.asarray(t.column("source").to_pylist(),
                              dtype=object)
             ln = np.asarray(t.column("len"), dtype=np.int64)
-            n = np.asarray(t.column("n"), dtype=np.int64)
+            n = np.asarray(t.column("count_all"), dtype=np.int64)
             grid = np.unique(ln)
             sources = sorted(set(src.tolist()))
             tot_all = int(n.sum())
@@ -2752,11 +2617,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "ks": pa.array([r[1] for r in rows],
                                type=pa.float64())})
 
-        return lowcard_combine(
-            _docs(sf_dir).map_batches(
-                lambda t: t.select(["source", "text"]),
-                batch_format="pyarrow"),
-            partial, final_fn=final, combine_fn=combine)
+        return lowcard_aggregate(
+            _docs(sf_dir).map_batches(lengths, batch_format="pyarrow"),
+            ["source", "len"], [([], "count_all")], finish)
 
     def events_value_band_pairs(sf_dir):
         """Band self-join count: pairs of same-type events whose
@@ -2768,8 +2631,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         bucket); the per-bucket count is two vectorized searchsorted
         sweeps, never an all-pairs loop.  Exact integer output."""
         import numpy as np
-        from ie_ray.stages.relational import (bucketed_map_groups,
-                                              lowcard_combine)
+        from ie_ray.stages.relational import bucketed_map_groups
 
         EPS = 5
         ds = _tbl(sf_dir, "events", columns=["event_type", "value"])
@@ -2845,12 +2707,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ds.map_batches(prep, batch_format="pyarrow"),
             ["event_type", "bucket"], kernel)
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("event_type").aggregate(
-                [("n_pairs", "sum")]).rename_columns(
-                ["event_type", "n_pairs"])
-
-        return lowcard_combine(per_bucket, combine)
+        return lowcard_aggregate(
+            per_bucket, "event_type", [("n_pairs", "sum")],
+            lambda t: t.rename_columns(["event_type", "n_pairs"]))
 
     def events_max_concurrency(sf_dir):
         """Peak concurrency by distributed SWEEP-LINE: each event
@@ -2944,17 +2803,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "mn": pa.array(m.min(axis=0).astype(np.float64)),
                 "mx": pa.array(m.max(axis=0).astype(np.float64))})
 
-        def mm_combine(t: pa.Table) -> pa.Table:
-            g = t.group_by("dim").aggregate(
-                [("mn", "min"), ("mx", "max")])
-            return g.rename_columns(["dim", "mn", "mx"])
-
-        stats = lowcard_combine(ds, mm_partial, mm_combine).take_all()
+        stats = lowcard_aggregate(
+            ds.map_batches(mm_partial, batch_format="pyarrow"), "dim",
+            [("mn", "min"), ("mx", "max")]).take_all()
         mn = np.zeros(DIM)
         mx = np.zeros(DIM)
         for r in stats:
-            mn[r["dim"] - 1] = r["mn"]
-            mx[r["dim"] - 1] = r["mx"]
+            mn[r["dim"] - 1] = r["mn_min"]
+            mx[r["dim"] - 1] = r["mx_max"]
         rng_ = mx - mn
         const = rng_ == 0.0
 
@@ -3024,12 +2880,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ds.map_batches(to_month, batch_format="pyarrow"),
             "user_id", kernel)
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("midx").aggregate(
-                [("n_churned", "sum")]).rename_columns(
-                ["midx", "n_churned"])
-
-        return lowcard_combine(per_bucket, combine)
+        return lowcard_aggregate(
+            per_bucket, "midx", [("n_churned", "sum")],
+            lambda t: t.rename_columns(["midx", "n_churned"]))
 
     def docs_length_gini(sf_dir):
         """Gini coefficient of the document-length distribution — the
@@ -3037,27 +2890,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the bounded length-grid histogram with the rank formula
         Σ(2·rank − n − 1)·x / (n·Σx), whose numerator collapses to
         integer cumulative sums over (len, count) — one lowcard
-        tree-combine, all-int64 numerator/denominator, a single float
+        aggregate, all-int64 numerator/denominator, a single float
         division shared op-for-op with the window oracle (tie-order
         invariant, so the rank formula needs no tie policy)."""
         import numpy as np
         import pyarrow.compute as pc
 
-        def partial(t: pa.Table) -> pa.Table:
-            g = pa.table({
-                "len": pc.utf8_length(t.column("text"))
-                .cast(pa.int64())}) \
-                .group_by("len").aggregate([([], "count_all")])
-            return g.rename_columns(["len", "n"])
+        def lengths(t: pa.Table) -> pa.Table:
+            return pa.table({
+                "len": pc.utf8_length(t.column("text")).cast(pa.int64())})
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("len").aggregate([("n", "sum")]) \
-                .rename_columns(["len", "n"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             ln = np.asarray(t.column("len"), dtype=np.int64)
-            c = np.asarray(t.column("n"), dtype=np.int64)
+            c = np.asarray(t.column("count_all"), dtype=np.int64)
             o = np.argsort(ln)
             ln, c = ln[o], c[o]
             n = int(c.sum())
@@ -3081,10 +2926,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "n_docs": pa.array([n], type=pa.int64()),
                 "gini": pa.array([gini], type=pa.float64())})
 
-        return lowcard_combine(
-            _docs(sf_dir).map_batches(
-                lambda t: t.select(["text"]), batch_format="pyarrow"),
-            partial, final_fn=final, combine_fn=combine)
+        return lowcard_aggregate(
+            _docs(sf_dir).map_batches(lengths, batch_format="pyarrow"),
+            "len", [([], "count_all")], finish)
 
     def docs_length_theil(sf_dir):
         """Theil-T inequality of document length, DECOMPOSED by source
@@ -3092,7 +2936,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         T = T_between + Σ share_g·T_g, so the report shows how much
         corpus imbalance lives across sources vs inside them.  All
         sums reduce over the bounded (source, len) histogram in one
-        lowcard tree-combine; the ln/division float tail is evaluated
+        lowcard aggregate; the ln/division float tail is evaluated
         with the same expression shape as the SQL twin and rounded
         4 dp.  Output: one row per source (share, T_within) plus the
         __between__ and __total__ rows — the decomposition identity
@@ -3100,25 +2944,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import numpy as np
         import pyarrow.compute as pc
 
-        def partial(t: pa.Table) -> pa.Table:
-            g = pa.table({
+        def lengths(t: pa.Table) -> pa.Table:
+            return pa.table({
                 "source": t.column("source"),
-                "len": pc.utf8_length(t.column("text"))
-                .cast(pa.int64())}) \
-                .group_by(["source", "len"]).aggregate(
-                [([], "count_all")])
-            return g.rename_columns(["source", "len", "n"])
+                "len": pc.utf8_length(t.column("text")).cast(pa.int64())})
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by(["source", "len"]).aggregate(
-                [("n", "sum")]).rename_columns(["source", "len", "n"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             src = np.asarray(t.column("source").to_pylist(),
                              dtype=object)
             ln = np.asarray(t.column("len"), dtype=np.float64)
-            c = np.asarray(t.column("n"), dtype=np.float64)
+            c = np.asarray(t.column("count_all"), dtype=np.float64)
             n = c.sum()
             mu = (ln * c).sum() / n
             sources = sorted(set(src.tolist()))
@@ -3149,17 +2984,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
                      * (1 if r[2] >= 0 else -1) for r in rows],
                     type=pa.float64())})
 
-        return lowcard_combine(
-            _docs(sf_dir).map_batches(
-                lambda t: t.select(["source", "text"]),
-                batch_format="pyarrow"),
-            partial, final_fn=final, combine_fn=combine)
+        return lowcard_aggregate(
+            _docs(sf_dir).map_batches(lengths, batch_format="pyarrow"),
+            ["source", "len"], [([], "count_all")], finish)
 
     def docs_chi2_lang_source(sf_dir):
         """Chi-squared independence test of the (source × lang)
         contingency table — the data-quality hypothesis test "is
         language mix independent of source?": cell counts reduce over
-        the bounded grid in one lowcard tree-combine; expected counts,
+        the bounded grid in one lowcard aggregate; expected counts,
         the χ² statistic and the degrees of freedom are one vectorized
         final-task pass (cells with zero expected count are
         structurally impossible — expected = row·col/n > 0 whenever
@@ -3170,23 +3003,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda t: t.select(["source", "lang"]).drop_null(),
             batch_format="pyarrow")
 
-        def partial(t: pa.Table) -> pa.Table:
-            g = t.group_by(["source", "lang"]).aggregate(
-                [([], "count_all")])
-            return g.rename_columns(["source", "lang", "n"])
-
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by(["source", "lang"]).aggregate(
-                [("n", "sum")]).rename_columns(
-                ["source", "lang", "n"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             src = np.asarray(t.column("source").to_pylist(),
                              dtype=object)
             lang = np.asarray(t.column("lang").to_pylist(),
                               dtype=object)
-            n = np.asarray(t.column("n"), dtype=np.float64)
+            n = np.asarray(t.column("count_all"), dtype=np.float64)
             rows = sorted(set(src.tolist()))
             cols = sorted(set(lang.tolist()))
             ri = {r: i for i, r in enumerate(rows)}
@@ -3209,8 +3031,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "dof": pa.array([dof], type=pa.int64()),
                 "n": pa.array([int(tot)], type=pa.int64())})
 
-        return lowcard_combine(ds, partial, final_fn=final,
-                               combine_fn=combine)
+        return lowcard_aggregate(ds, ["source", "lang"],
+                                 [([], "count_all")], finish)
 
     def events_weekend_ttest(sf_dir):
         """Welch's unequal-variance t-test: does event value differ
@@ -3224,7 +3046,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         ds = _tbl(sf_dir, "events", columns=["ts", "value"])
 
-        def partial(t: pa.Table) -> pa.Table:
+        def moments(t: pa.Table) -> pa.Table:
             dow = np.asarray(pc.day_of_week(
                 t.column("ts"), count_from_zero=True,
                 week_start=7).cast(pa.int64()))
@@ -3232,27 +3054,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cents = np.round(np.asarray(t.column("value"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            g = pa.table({
+            return pa.table({
                 "wknd": pa.array(wknd),
-                "n": pa.array(np.ones(len(cents), dtype=np.int64)),
                 "s": pa.array(cents),
-                "s2": pa.array(cents * cents)}) \
-                .group_by("wknd").aggregate(
-                [("n", "sum"), ("s", "sum"), ("s2", "sum")])
-            return g.rename_columns(["wknd", "n", "s", "s2"])
+                "s2": pa.array(cents * cents)})
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("wknd").aggregate(
-                [("n", "sum"), ("s", "sum"), ("s2", "sum")]) \
-                .rename_columns(["wknd", "n", "s", "s2"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             stats = {}
             for w, n, s, s2 in zip(t.column("wknd").to_pylist(),
-                                   t.column("n").to_pylist(),
-                                   t.column("s").to_pylist(),
-                                   t.column("s2").to_pylist()):
+                                   t.column("count_all").to_pylist(),
+                                   t.column("s_sum").to_pylist(),
+                                   t.column("s2_sum").to_pylist()):
                 if n < 2:
                     continue
                 m = s / n
@@ -3287,8 +3099,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "t_stat": pa.array([r4(tstat)], type=pa.float64()),
                 "welch_df": pa.array([r4(df)], type=pa.float64())})
 
-        return lowcard_combine(ds, partial, final_fn=final,
-                               combine_fn=combine)
+        return lowcard_aggregate(
+            ds.map_batches(moments, batch_format="pyarrow"), "wknd",
+            [([], "count_all"), ("s", "sum"), ("s2", "sum")], finish)
 
     def events_mannwhitney_purchase_view(sf_dir):
         """Mann–Whitney U (rank-sum) test: do purchase and view
@@ -3302,29 +3115,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         ds = _tbl(sf_dir, "events", columns=["event_type", "value"])
 
-        def partial(t: pa.Table) -> pa.Table:
+        def cent_rows(t: pa.Table) -> pa.Table:
             m = pc.is_in(t.column("event_type"),
                          value_set=pa.array(["purchase", "view"]))
             t = t.filter(m)
             cents = np.round(np.asarray(t.column("value"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            g = pa.table({
-                "grp": t.column("event_type"),
-                "c": pa.array(cents),
-                "n": pa.array(np.ones(len(cents), dtype=np.int64))}) \
-                .group_by(["grp", "c"]).aggregate([("n", "sum")])
-            return g.rename_columns(["grp", "c", "n"])
+            return pa.table({"grp": t.column("event_type"),
+                             "c": pa.array(cents)})
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by(["grp", "c"]).aggregate([("n", "sum")]) \
-                .rename_columns(["grp", "c", "n"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             grp = np.asarray(t.column("grp").to_pylist(), dtype=object)
             c = np.asarray(t.column("c"), dtype=np.int64)
-            n = np.asarray(t.column("n"), dtype=np.int64)
+            n = np.asarray(t.column("count_all"), dtype=np.int64)
             vals = np.unique(c)
             h1 = np.zeros(len(vals), dtype=np.int64)   # purchase
             h2 = np.zeros(len(vals), dtype=np.int64)   # view
@@ -3354,8 +3158,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "u": pa.array([u], type=pa.float64()),
                 "z": pa.array([r4(z)], type=pa.float64())})
 
-        return lowcard_combine(ds, partial, final_fn=final,
-                               combine_fn=combine)
+        return lowcard_aggregate(
+            ds.map_batches(cent_rows, batch_format="pyarrow"),
+            ["grp", "c"], [([], "count_all")], finish)
 
     def source_shingle_overlap(sf_dir):
         """Source-pair CONTENT similarity matrix: KMV sketches over
@@ -3435,21 +3240,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def _top_degree_seeds(edges, n_seeds=2):
         """Deterministic seed pick shared by kg_khop2 / kg_ppr_top20:
         highest row-count degree, lexicographic tie-break."""
-        def deg(t: pa.Table) -> pa.Table:
-            both = pa.concat_arrays([
+        def ends(t: pa.Table) -> pa.Table:
+            return pa.table({"node": pa.concat_arrays([
                 t.column("subj_id").combine_chunks().cast(pa.string()),
-                t.column("obj_id").combine_chunks().cast(pa.string())])
-            g = pa.table({"node": both}).group_by("node").aggregate(
-                [([], "count_all")])
-            return g.rename_columns(["node", "d"])
+                t.column("obj_id").combine_chunks().cast(pa.string())])})
 
-        def deg_combine(t: pa.Table) -> pa.Table:
-            return t.group_by("node").aggregate([("d", "sum")]) \
-                .rename_columns(["node", "d"])
-
-        top = lowcard_combine(edges, deg, final_fn=deg_combine,
-                              combine_fn=deg_combine) \
-            .sort(["d", "node"], descending=[True, False]) \
+        top = lowcard_aggregate(
+            edges.map_batches(ends, batch_format="pyarrow"), "node",
+            [([], "count_all")]) \
+            .sort(["count_all", "node"], descending=[True, False]) \
             .limit(n_seeds)
         return [r["node"] for r in top.take_all()]
 
@@ -3873,7 +3672,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         bucketed path, adjacency is excluded by one broadcast
         composite-key probe, and the exact top-20 uses per-block
         partial top-k with a total (count, w1, w2) order."""
-        import numpy as np
         import polars as pl
         from ie_ray.stages.cooccur import cooccur_edges
         from ie_ray.stages.relational import (bucketed_aggregate,
@@ -4317,16 +4115,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "cust_nation": pa.array(cnat[keep], type=pa.string()),
                 "l_year": t.column("l_year").filter(pa.array(keep)),
                 "rev": t.column("rev").filter(pa.array(keep))})
-            return part.group_by(
-                ["supp_nation", "cust_nation", "l_year"]).aggregate(
-                [("rev", "sum")]).rename_columns(
-                ["supp_nation", "cust_nation", "l_year", "rev"])
+            return part
 
-        def final(t: pa.Table) -> pa.Table:
-            g = t.group_by(
-                ["supp_nation", "cust_nation", "l_year"]).aggregate(
-                [("rev", "sum")]).rename_columns(
-                ["supp_nation", "cust_nation", "l_year", "rev"])
+        def finish(g: pa.Table) -> pa.Table:
             g = g.sort_by([("supp_nation", "ascending"),
                            ("cust_nation", "ascending"),
                            ("l_year", "ascending")])
@@ -4335,11 +4126,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "cust_nation": g.column("cust_nation"),
                 "l_year": g.column("l_year"),
                 "revenue": pc.round(
-                    pc.divide(g.column("rev").cast(pa.float64()),
+                    pc.divide(g.column("rev_sum").cast(pa.float64()),
                               pa.scalar(10000.0)),
                     2, round_mode="half_towards_infinity")})
 
-        return lowcard_combine(joined, partial, final)
+        return lowcard_aggregate(
+            joined.map_batches(partial, batch_format="pyarrow"),
+            ["supp_nation", "cust_nation", "l_year"], [("rev", "sum")],
+            finish)
 
     def q8_market_share(sf_dir):
         """TPC-H Q8 shape: one nation's share of STANDARD-part revenue
@@ -4443,24 +4237,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "o_year": t.column("o_year").filter(pa.array(keep)),
                 "rev": t.column("rev").filter(pa.array(keep)),
                 "trev": t.column("trev").filter(pa.array(keep))})
-            return part.group_by("o_year").aggregate(
-                [("rev", "sum"), ("trev", "sum")]).rename_columns(
-                ["o_year", "rev", "trev"])
+            return part
 
-        def final(t: pa.Table) -> pa.Table:
-            # input = concatenated partials (o_year, rev, trev)
-            g = t.group_by("o_year").aggregate(
-                [("rev", "sum"), ("trev", "sum")]).rename_columns(
-                ["o_year", "rev", "trev"]).sort_by("o_year")
-            rev = np.asarray(g.column("rev"), dtype=np.float64)
-            trev = np.asarray(g.column("trev"), dtype=np.float64)
+        def finish(g: pa.Table) -> pa.Table:
+            g = g.sort_by("o_year")
+            rev = np.asarray(g.column("rev_sum"), dtype=np.float64)
+            trev = np.asarray(g.column("trev_sum"), dtype=np.float64)
             return pa.table({
                 "o_year": g.column("o_year"),
                 "mkt_share": pc.round(
                     pa.array(trev / np.maximum(rev, 1.0)),
                     4, round_mode="half_towards_infinity")})
 
-        return lowcard_combine(joined, partial, final)
+        return lowcard_aggregate(
+            joined.map_batches(partial, batch_format="pyarrow"), "o_year",
+            [("rev", "sum"), ("trev", "sum")], finish)
 
     def q9_profit_by_nation(sf_dir):
         """TPC-H Q9 shape (adapted — no partsupp table in this corpus, so
@@ -4530,30 +4321,29 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     "nation": pa.array([], type=pa.string()),
                     "o_year": pa.array([], type=pa.int64()),
                     "amount": pa.array([], type=pa.int64())})
-            return t.select(["nation", "o_year", "amount"]).group_by(
-                ["nation", "o_year"]).aggregate(
-                [("amount", "sum")]).rename_columns(
-                ["nation", "o_year", "amount"])
+            return t.select(["nation", "o_year", "amount"])
 
-        def final(t: pa.Table) -> pa.Table:
-            g = partial(t).sort_by([("nation", "ascending"),
-                                    ("o_year", "descending")])
+        def finish(g: pa.Table) -> pa.Table:
+            g = g.sort_by([("nation", "ascending"),
+                           ("o_year", "descending")])
             return pa.table({
                 "nation": g.column("nation"),
                 "o_year": g.column("o_year"),
                 "sum_profit": pc.round(
-                    pc.divide(g.column("amount").cast(pa.float64()),
+                    pc.divide(g.column("amount_sum").cast(pa.float64()),
                               pa.scalar(10000.0)),
                     2, round_mode="half_towards_infinity")})
 
-        return lowcard_combine(joined, partial, final)
+        return lowcard_aggregate(
+            joined.map_batches(partial, batch_format="pyarrow"),
+            ["nation", "o_year"], [("amount", "sum")], finish)
 
     def q13_order_distribution(sf_dir):
         """TPC-H Q13 shape: distribution of customers by order count,
         including zero-order customers.  Per-customer counts run through
         the bucketed (Arrow hash-agg) path — customer-sized key domain;
         the count→custdist histogram domain is tiny (≤ max orders per
-        customer) so it finishes in a lowcard_combine, and the zero row
+        customer) so it finishes in a lowcard_aggregate, and the zero row
         is total-customers − customers-with-orders (parquet metadata,
         no extra scan)."""
         import numpy as np
@@ -4571,19 +4361,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 batch_format="pyarrow")
         percust = bucketed_aggregate(orders, "o_custkey", [("n", "sum")])
 
-        def partial(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "c_count": t.column("n_sum").cast(pa.int64()),
-                "custdist": pa.array(
-                    np.ones(len(t), dtype=np.int64))}).group_by(
-                "c_count").aggregate([("custdist", "sum")]) \
-                .rename_columns(["c_count", "custdist"])
-
-        def final(t: pa.Table) -> pa.Table:
-            # input = concatenated partials (c_count, custdist)
-            g = t.group_by("c_count").aggregate(
-                [("custdist", "sum")]).rename_columns(
-                ["c_count", "custdist"])
+        def finish(g: pa.Table) -> pa.Table:
+            g = g.rename_columns(["c_count", "custdist"])
             seen = int(pc.sum(g.column("custdist")).as_py() or 0)
             if n_cust > seen:
                 g = pa.concat_tables([g, pa.table({
@@ -4593,7 +4372,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return g.sort_by([("custdist", "descending"),
                               ("c_count", "descending")])
 
-        return lowcard_combine(percust, partial, final)
+        return lowcard_aggregate(
+            percust.map_batches(lambda t: pa.table({
+                "c_count": t.column("n_sum").cast(pa.int64())}),
+                batch_format="pyarrow"),
+            "c_count", [([], "count_all")], finish)
 
     def q15_top_supplier(sf_dir):
         """TPC-H Q15 shape: supplier(s) with the maximum revenue over one
@@ -4905,31 +4688,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 # schema-less empty blocks for filtered-out partitions)
                 return pa.table({
                     "n_nationkey": pa.array([], type=pa.int64()),
-                    "numcust": pa.array([], type=pa.int64()),
                     "cents": pa.array([], type=pa.int64())})
-            part = pa.table({
-                "n_nationkey": t.column("n_nationkey"),
-                "numcust": pa.array(np.ones(len(t), dtype=np.int64)),
-                "cents": t.column("cents")})
-            return part.group_by("n_nationkey").aggregate(
-                [("numcust", "sum"), ("cents", "sum")]).rename_columns(
-                ["n_nationkey", "numcust", "cents"])
+            return t.select(["n_nationkey", "cents"])
 
-        def final(t: pa.Table) -> pa.Table:
-            # input = concatenated partials (n_nationkey, numcust, cents)
-            g = t.group_by("n_nationkey").aggregate(
-                [("numcust", "sum"), ("cents", "sum")]).rename_columns(
-                ["n_nationkey", "numcust", "cents"]) \
-                .sort_by("n_nationkey")
+        def finish(g: pa.Table) -> pa.Table:
+            g = g.sort_by("n_nationkey")
             return pa.table({
                 "n_nationkey": g.column("n_nationkey"),
-                "numcust": g.column("numcust"),
+                "numcust": g.column("count_all"),
                 "totacctbal": pc.round(pc.divide(
-                    g.column("cents").cast(pa.float64()),
+                    g.column("cents_sum").cast(pa.float64()),
                     pa.scalar(100.0)), 2,
                     round_mode="half_towards_infinity")})
 
-        return lowcard_combine(idle, partial, final)
+        return lowcard_aggregate(
+            idle.map_batches(partial, batch_format="pyarrow"),
+            "n_nationkey", [([], "count_all"), ("cents", "sum")], finish)
 
     def _small_table(ds, cols):
         """Collect a FINAL (already repartition(1)-reduced, ≤ dimension
@@ -5218,32 +4992,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 return pa.table({
                     "p_brand": pa.array([], type=pa.string()),
                     "p_type": pa.array([], type=pa.string()),
-                    "p_size": pa.array([], type=pa.int64()),
-                    "supplier_cnt": pa.array([], type=pa.int64())})
-            n = pa.table({
-                "p_brand": t.column("p_brand"),
-                "p_type": t.column("p_type"),
-                "p_size": t.column("p_size"),
-                "supplier_cnt": pa.array(
-                    np.ones(len(t), dtype=np.int64))})
-            return n.group_by(
-                ["p_brand", "p_type", "p_size"]).aggregate(
-                [("supplier_cnt", "sum")]).rename_columns(
-                ["p_brand", "p_type", "p_size", "supplier_cnt"])
+                    "p_size": pa.array([], type=pa.int64())})
+            return t.select(["p_brand", "p_type", "p_size"])
 
-        def final(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0:
-                return partial(t)
-            g = t.group_by(
-                ["p_brand", "p_type", "p_size"]).aggregate(
-                [("supplier_cnt", "sum")]).rename_columns(
+        def finish(g: pa.Table) -> pa.Table:
+            g = g.rename_columns(
                 ["p_brand", "p_type", "p_size", "supplier_cnt"])
             return g.sort_by([("supplier_cnt", "descending"),
                               ("p_brand", "ascending"),
                               ("p_type", "ascending"),
                               ("p_size", "ascending")])
 
-        return _small_table(lowcard_combine(tuples, partial, final),
+        return _small_table(lowcard_aggregate(
+            tuples.map_batches(partial, batch_format="pyarrow"),
+            ["p_brand", "p_type", "p_size"], [([], "count_all")],
+            finish),
                        [("p_brand", pa.string()),
                         ("p_type", pa.string()),
                         ("p_size", pa.int64()),
@@ -5334,20 +5097,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
             nat = nn.take(lsk)
             keep = (nat == "NATION_3") | (nat == "NATION_4")
             lsk = lsk[keep]
-            out = pa.table({
+            return pa.table({
                 "s_name": pa.array(sn.take(lsk), type=pa.string()),
                 "n_name": pa.array(nat[keep], type=pa.string())})
-            return out.group_by(["s_name", "n_name"]).aggregate(
-                []).rename_columns(["s_name", "n_name"])
 
-        def final(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0:
-                return winners(t)
-            g = t.group_by(["s_name", "n_name"]).aggregate(
-                []).rename_columns(["s_name", "n_name"])
-            return g.sort_by([("s_name", "ascending")])
-
-        return _small_table(lowcard_combine(joined, winners, final),
+        return _small_table(lowcard_aggregate(
+            joined.map_batches(winners, batch_format="pyarrow"),
+            ["s_name", "n_name"], [],
+            lambda g: g.sort_by([("s_name", "ascending")])),
                        [("s_name", pa.string()),
                         ("n_name", pa.string())])
 
@@ -5359,8 +5116,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         not-exists pair collapses to one vectorized polars kernel per
         complete order bucket; the per-supplier count is bucketed; the
         name/nation decoration is a broadcast dense lookup."""
-        import datetime
-
         import numpy as np
         import pyarrow.compute as pc
         import pyarrow.parquet as pq
@@ -5473,16 +5228,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                    type=pa.string()),
                 "numwait": t.column("numwait").filter(pa.array(keep))})
 
-        def final(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0:
-                return decorate(t)
-            g = t.group_by("s_name").aggregate(
-                [("numwait", "sum")]).rename_columns(
-                ["s_name", "numwait"])
-            return g.sort_by([("numwait", "descending"),
-                              ("s_name", "ascending")])
+        def finish(g: pa.Table) -> pa.Table:
+            return g.rename_columns(["s_name", "numwait"]).sort_by(
+                [("numwait", "descending"), ("s_name", "ascending")])
 
-        return _small_table(lowcard_combine(counts, decorate, final),
+        return _small_table(lowcard_aggregate(
+            counts.map_batches(decorate, batch_format="pyarrow"),
+            "s_name", [("numwait", "sum")], finish),
                        [("s_name", pa.string()),
                         ("numwait", pa.int64())])
 
@@ -5830,40 +5582,32 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cents = np.round(np.asarray(t.column("value"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            part = pa.table({
+            return pa.table({
                 "window": pc.strftime(hour,
                                       format="%Y-%m-%d %H:00:00"),
                 "n_on_time": pa.array((~late).astype(np.int64)),
                 "n_late": pa.array(late.astype(np.int64)),
                 "cents": pa.array(np.where(late, 0, cents),
                                   type=pa.int64())})
-            return part.group_by("window").aggregate(
-                [("n_on_time", "sum"), ("n_late", "sum"),
-                 ("cents", "sum")]).rename_columns(
-                ["window", "n_on_time", "n_late", "cents"])
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("window").aggregate(
-                [("n_on_time", "sum"), ("n_late", "sum"),
-                 ("cents", "sum")]).rename_columns(
-                ["window", "n_on_time", "n_late", "cents"])
-
-        def final(t: pa.Table) -> pa.Table:
-            g = combine(t).sort_by("window")
+        def finish(g: pa.Table) -> pa.Table:
+            g = g.sort_by("window")
             return pa.table({
                 "window": g.column("window"),
-                "n_on_time": g.column("n_on_time"),
-                "n_late": g.column("n_late"),
+                "n_on_time": g.column("n_on_time_sum"),
+                "n_late": g.column("n_late_sum"),
                 "sum_value_on_time": pc.round(pc.divide(
-                    g.column("cents").cast(pa.float64()),
+                    g.column("cents_sum").cast(pa.float64()),
                     pa.scalar(100.0)), 2,
                     round_mode="half_towards_infinity")})
 
         ds = _tbl(sf_dir, "events",
                   columns=["ts", "event_id", "value"]) \
             .map_batches(partial, batch_format="pyarrow")
-        return lowcard_combine(ds, combine, final,
-                               combine_fn=combine)
+        return lowcard_aggregate(
+            ds, "window",
+            [("n_on_time", "sum"), ("n_late", "sum"), ("cents", "sum")],
+            finish)
 
     def docs_dsir_scores(sf_dir):
         """DSIR importance scores (Xie et al. 2023): log p_target −
@@ -5925,7 +5669,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def events_dow_hour_heatmap(sf_dir):
         """Calendar heatmap: event count + exact-cents value sum by
-        (day-of-week, hour) — 7×24 bounded keys, lowcard tree-combine.
+        (day-of-week, hour) — 7×24 bounded keys, lowcard aggregate.
         DOW convention pinned to DuckDB's dayofweek (Sunday=0) via
         Arrow week_start=7 + count_from_zero."""
         import numpy as np
@@ -5939,27 +5683,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cents = np.round(np.asarray(t.column("value"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            g = pa.table({"dow": dow, "hr": hr,
-                          "one": pa.array(np.ones(t.num_rows,
-                                                  dtype=np.int64)),
-                          "cents": pa.array(cents)}) \
-                .group_by(["dow", "hr"]).aggregate(
-                [("one", "sum"), ("cents", "sum")])
-            return g.rename_columns(["dow", "hr", "n", "cents"])
+            return pa.table({"dow": dow, "hr": hr,
+                             "cents": pa.array(cents)})
 
-        def final(t: pa.Table) -> pa.Table:
-            g = t.group_by(["dow", "hr"]).aggregate(
-                [("n", "sum"), ("cents", "sum")])
+        def finish(g: pa.Table) -> pa.Table:
             return pa.table({
                 "dow": g.column("dow"),
                 "hr": g.column("hr"),
-                "n": g.column("n_sum").cast(pa.int64()),
+                "n": g.column("count_all"),
                 "total_value": pc.round(pc.divide(
                     g.column("cents_sum").cast(pa.float64()),
                     pa.scalar(100.0)), 2,
                     round_mode="half_towards_infinity")})
 
-        return lowcard_combine(ds, partial, final)
+        return lowcard_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            ["dow", "hr"], [([], "count_all"), ("cents", "sum")], finish)
 
     def docs_stopword_ratio(sf_dir):
         """Per-doc stopword ratio over whitespace tokens — rides the
@@ -6113,7 +5852,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Per-day order revenue with a gap-aware rolling 7-day window
         (current day + 6 PRECEDING by DATE, not by row) — the batch
         re-expression of a sliding event-time window.  Day keys are
-        bounded by the calendar, so partials tree-combine and the
+        bounded by the calendar, so partials merge in one task and the
         rolling pass is one vectorized searchsorted on the final
         (sorted, driver-bounded) day table."""
         import numpy as np
@@ -6127,18 +5866,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cents = np.round(np.asarray(t.column("o_totalprice"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            g = pa.table({"day_us": day, "cents": pa.array(cents)}) \
-                .group_by("day_us").aggregate([("cents", "sum")])
-            return g.rename_columns(["day_us", "cents"])
+            return pa.table({"day_us": day, "cents": pa.array(cents)})
 
-        def combine(t: pa.Table) -> pa.Table:
-            g = t.group_by("day_us").aggregate([("cents", "sum")])
-            return g.rename_columns(["day_us", "cents"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             day_us = np.asarray(t.column("day_us"), dtype=np.int64)
-            cents = np.asarray(t.column("cents"), dtype=np.int64)
+            cents = np.asarray(t.column("cents_sum"), dtype=np.int64)
             order = np.argsort(day_us)
             day_us, cents = day_us[order], cents[order]
             days = day_us // 86_400_000_000
@@ -6159,7 +5891,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     pa.scalar(100.0)), 2,
                     round_mode="half_towards_infinity")})
 
-        return lowcard_combine(ds, partial, final, combine_fn=combine)
+        return lowcard_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow"), "day_us",
+            [("cents", "sum")], finish)
 
     def doc_keyphrases(sf_dir):
         """RAKE keyphrase extraction (Rose et al. 2010) — top-3
@@ -6202,58 +5936,33 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def events_cube(sf_dir):
         """OLAP CUBE over (event_type, day-of-week): count + exact
-        cents sum at ALL FOUR grouping levels in ONE pass — each block
-        emits tagged partials per level (sentinels 'ALL'/-1, the
+        cents sum at ALL FOUR grouping levels in ONE pass — every row
+        emits one tagged copy per level (sentinels 'ALL'/-1, the
         events_rollup idiom extended to the full lattice), one bounded
-        lowcard combine.  DOW pinned to DuckDB dayofweek (Sunday=0)."""
+        lowcard aggregate.  DOW pinned to DuckDB dayofweek (Sunday=0)."""
         import numpy as np
         import pyarrow.compute as pc
         ds = _tbl(sf_dir, "events", columns=["event_type", "ts", "value"])
 
-        def partial(t: pa.Table) -> pa.Table:
+        def levels(t: pa.Table) -> pa.Table:
             dow = pc.day_of_week(t.column("ts"), count_from_zero=True,
                                  week_start=7).cast(pa.int64())
-            cents = np.round(np.asarray(t.column("value"),
-                                        dtype=np.float64) * 100.0) \
-                .astype(np.int64)
-            ones = pa.array(np.ones(t.num_rows, dtype=np.int64))
-            base = pa.table({"event_type": t.column("event_type"),
-                             "dow": dow, "one": ones,
-                             "cents": pa.array(cents)})
-            outs = []
-            for keys in (["event_type", "dow"], ["event_type"],
-                         ["dow"], []):
-                if keys:
-                    g = base.group_by(keys).aggregate(
-                        [("one", "sum"), ("cents", "sum")])
-                    et = g.column("event_type") if "event_type" in keys \
-                        else pa.array(["ALL"] * g.num_rows)
-                    dw = g.column("dow") if "dow" in keys \
-                        else pa.array(np.full(g.num_rows, -1),
-                                      type=pa.int64())
-                    outs.append(pa.table({
-                        "event_type": et, "dow": dw,
-                        "n": g.column("one_sum"),
-                        "cents": g.column("cents_sum")}))
-                else:
-                    outs.append(pa.table({
-                        "event_type": pa.array(["ALL"]),
-                        "dow": pa.array([-1], type=pa.int64()),
-                        "n": pa.array([t.num_rows], type=pa.int64()),
-                        "cents": pa.array([int(cents.sum())],
-                                          type=pa.int64())}))
-            return pa.concat_tables(outs)
+            cents = pa.array(np.round(np.asarray(
+                t.column("value"), dtype=np.float64) * 100.0)
+                .astype(np.int64))
+            all_t = pa.array(["ALL"] * t.num_rows)
+            all_d = pa.array(np.full(t.num_rows, -1), type=pa.int64())
+            return pa.concat_tables([
+                pa.table({"event_type": et, "dow": dw, "cents": cents})
+                for et, dw in ((t.column("event_type"), dow),
+                               (t.column("event_type"), all_d),
+                               (all_t, dow), (all_t, all_d))])
 
-        def finish(t: pa.Table) -> pa.Table:
-            g = t.group_by(["event_type", "dow"]).aggregate(
-                [("n", "sum"), ("cents", "sum")])
-            return pa.table({
-                "event_type": g.column("event_type"),
-                "dow": g.column("dow"),
-                "n": g.column("n_sum").cast(pa.int64()),
-                "value_cents": g.column("cents_sum").cast(pa.int64())})
-
-        return lowcard_combine(ds, partial, finish)
+        return lowcard_aggregate(
+            ds.map_batches(levels, batch_format="pyarrow"),
+            ["event_type", "dow"], [([], "count_all"), ("cents", "sum")],
+            lambda t: t.rename_columns(
+                ["event_type", "dow", "n", "value_cents"]))
 
     def events_user_entropy(sf_dir):
         """Per-user Shannon entropy of the event-type distribution —
@@ -6262,7 +5971,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         exchange → per-user vectorized entropy in a complete-bucket
         polars kernel; ln on doubles, 4-dp rounding (logprob-family
         convention)."""
-        import numpy as np
         from ie_ray.stages.relational import (bucketed_aggregate,
                                               bucketed_map_groups)
         ds = _tbl(sf_dir, "events", columns=["user_id", "event_type"])
@@ -6386,7 +6094,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """EXACT distributed median + MAD per event_type via the
         bounded cent-grid histogram: values sit on a 2-decimal grid
         (≤ ~50k distinct cents × 5 types), so each block reduces to
-        (type, cents, n) counts and one lowcard tree-combine carries
+        (type, cents, n) counts and one lowcard aggregate carries
         the whole distribution — both quantile passes (median, then
         median of |v − med|) read the same histogram in the final
         task; raw rows never shuffle.  Interpolation matches DuckDB's
@@ -6399,18 +6107,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cents = np.round(np.asarray(t.column("value"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            g = pa.table({
-                "event_type": t.column("event_type"),
-                "cents": pa.array(cents),
-                "n": pa.array(np.ones(len(cents), dtype=np.int64))}) \
-                .group_by(["event_type", "cents"]).aggregate(
-                [("n", "sum")])
-            return g.rename_columns(["event_type", "cents", "n"])
-
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by(["event_type", "cents"]).aggregate(
-                [("n", "sum")]).rename_columns(
-                ["event_type", "cents", "n"])
+            return pa.table({"event_type": t.column("event_type"),
+                             "cents": pa.array(cents)})
 
         def hist_median(vals: "np.ndarray", cnt: "np.ndarray") -> float:
             # vals ascending; continuous interpolation at h=(n-1)/2
@@ -6423,12 +6121,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                              side="right")])
             return vlo + (h - np.floor(h)) * (vhi - vlo)
 
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             et = np.asarray(t.column("event_type").to_pylist(),
                             dtype=object)
             cents = np.asarray(t.column("cents"), dtype=np.int64)
-            n = np.asarray(t.column("n"), dtype=np.int64)
+            n = np.asarray(t.column("count_all"), dtype=np.int64)
             rows = []
             for ty in sorted(set(et.tolist())):   # ≤ |types| iterations
                 m = et == ty
@@ -6449,8 +6146,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                 type=pa.float64()),
                 "n": pa.array([r[3] for r in rows], type=pa.int64())})
 
-        return lowcard_combine(ds, partial, final_fn=final,
-                               combine_fn=combine)
+        return lowcard_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            ["event_type", "cents"], [([], "count_all")], finish)
 
     def events_benford(sf_dir):
         """Benford leading-digit profile of the value column (fraud /
@@ -6465,7 +6163,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         ds = _tbl(sf_dir, "events", columns=["value"])
 
-        def partial(t: pa.Table) -> pa.Table:
+        def digits(t: pa.Table) -> pa.Table:
             cents = np.round(np.asarray(t.column("value"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
@@ -6473,16 +6171,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             while (d >= 10).any():
                 m = d >= 10
                 d[m] //= 10
-            cnt = np.bincount(d, minlength=10)[1:10]
-            return pa.table({
-                "digit": pa.array(np.arange(1, 10, dtype=np.int64)),
-                "n": pa.array(cnt.astype(np.int64))})
+            return pa.table({"digit": pa.array(d, type=pa.int64())})
 
-        def final(t: pa.Table) -> pa.Table:
-            g = t.group_by("digit").aggregate([("n", "sum")]) \
-                .rename_columns(["digit", "n"])
+        def finish(g: pa.Table) -> pa.Table:
             dig = np.asarray(g.column("digit"), dtype=np.int64)
-            n = np.asarray(g.column("n"), dtype=np.int64)
+            n = np.asarray(g.column("count_all"), dtype=np.int64)
             tot = int(n.sum())
             keep = n > 0
             return pa.table({
@@ -6493,7 +6186,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     1.0 + 1.0 / dig[keep].astype(np.float64))
                     * 10_000).astype(np.int64))})
 
-        return lowcard_combine(ds, partial, final)
+        return lowcard_aggregate(
+            ds.map_batches(digits, batch_format="pyarrow"), "digit",
+            [([], "count_all")], finish)
 
     def events_seasonal_residuals(sf_dir):
         """Seasonal-baseline anomaly detection: the (day-of-week,
@@ -6520,28 +6215,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 .astype(np.int64)
             return dow, hr, cents
 
-        def cell_partial(t: pa.Table) -> pa.Table:
+        def cells(t: pa.Table) -> pa.Table:
             dow, hr, cents = dow_hr_cents(t)
-            g = pa.table({
-                "dow": pa.array(dow), "hr": pa.array(hr),
-                "s": pa.array(cents),
-                "n": pa.array(np.ones(len(cents), dtype=np.int64))}) \
-                .group_by(["dow", "hr"]).aggregate(
-                [("s", "sum"), ("n", "sum")])
-            return g.rename_columns(["dow", "hr", "s", "n"])
-
-        def cell_final(t: pa.Table) -> pa.Table:
-            return t.group_by(["dow", "hr"]).aggregate(
-                [("s", "sum"), ("n", "sum")]).rename_columns(
-                ["dow", "hr", "s", "n"])
+            return pa.table({"dow": pa.array(dow), "hr": pa.array(hr),
+                             "s": pa.array(cents)})
 
         # bounded pull: ≤ 7×24 = 168 baseline rows
-        base = lowcard_combine(ds, cell_partial, cell_final).take_all()
+        base = lowcard_aggregate(
+            ds.map_batches(cells, batch_format="pyarrow"), ["dow", "hr"],
+            [("s", "sum"), ([], "count_all")]).take_all()
         s_arr = np.zeros((7, 24), dtype=np.int64)
         n_arr = np.ones((7, 24), dtype=np.int64)
         for r in base:
-            s_arr[r["dow"], r["hr"]] = r["s"]
-            n_arr[r["dow"], r["hr"]] = r["n"]
+            s_arr[r["dow"], r["hr"]] = r["s_sum"]
+            n_arr[r["dow"], r["hr"]] = r["count_all"]
 
         def top20(t: pa.Table) -> pa.Table:
             dow, hr, cents = dow_hr_cents(t)
@@ -6600,7 +6287,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Offline CUSUM change-point detection on the hourly value
         series (Page 1954): the hour where the cumulative deviation
         from the global mean peaks.  Hour domain is bounded, so the
-        series reduces by one lowcard tree-combine; the final task
+        series reduces by one lowcard aggregate; the final task
         sorts ≤|hours| rows and picks argmax |cum_i·n − i·tot| — the
         deviation carried as its EXACT integer numerator (common
         denominator n cancels in the argmax), so ranking and output
@@ -6619,18 +6306,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cents = np.round(np.asarray(t.column("value"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            g = pa.table({"h_us": h, "s": pa.array(cents)}) \
-                .group_by("h_us").aggregate([("s", "sum")])
-            return g.rename_columns(["h_us", "s"])
+            return pa.table({"h_us": h, "s": pa.array(cents)})
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("h_us").aggregate([("s", "sum")]) \
-                .rename_columns(["h_us", "s"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             h = np.asarray(t.column("h_us"), dtype=np.int64)
-            s = np.asarray(t.column("s"), dtype=np.int64)
+            s = np.asarray(t.column("s_sum"), dtype=np.int64)
             if len(h) == 0:   # empty input: zero rows, like the oracle
                 return pa.table({
                     "h_us": pa.array([], type=pa.int64()),
@@ -6648,14 +6328,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "cusum_num": pa.array([num[best]], type=pa.int64()),
                 "n_hours": pa.array([n], type=pa.int64())})
 
-        return lowcard_combine(ds, partial, final_fn=final,
-                               combine_fn=combine)
+        return lowcard_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow"), "h_us",
+            [("s", "sum")], finish)
 
     def events_hourly_acf(sf_dir):
         """Autocorrelation function of the hourly value series at lags
         1–24 (seasonality diagnostic: a daily cycle shows as a lag-24
         peak).  The hour domain is bounded, so the series reduces by
-        one lowcard tree-combine and the whole ACF is one vectorized
+        one lowcard aggregate and the whole ACF is one vectorized
         final-task pass; pair semantics match the SQL lag join (only
         hours where BOTH h and h+k exist pair up — calendar gaps drop,
         no zero-filling), with Pearson r computed by the same
@@ -6672,20 +6353,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cents = np.round(np.asarray(t.column("value"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            g = pa.table({"h": h, "s": pa.array(cents)}) \
-                .group_by("h").aggregate([("s", "sum")])
-            return g.rename_columns(["h", "s"])
-
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("h").aggregate([("s", "sum")]) \
-                .rename_columns(["h", "s"])
+            return pa.table({"h": h, "s": pa.array(cents)})
 
         HOUR = 3_600_000_000
 
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             h = np.asarray(t.column("h"), dtype=np.int64)
-            s = np.asarray(t.column("s"), dtype=np.float64)
+            s = np.asarray(t.column("s_sum"), dtype=np.float64)
             o = np.argsort(h)
             h, s = h[o], s[o]
             lags, rs, ns = [], [], []
@@ -6711,15 +6385,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "r": pa.array(rs, type=pa.float64()),
                 "n_pairs": pa.array(ns, type=pa.int64())})
 
-        return lowcard_combine(ds, partial, final_fn=final,
-                               combine_fn=combine)
+        return lowcard_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow"), "h",
+            [("s", "sum")], finish)
 
     def events_itemsets3(sf_dir):
         """Frequent 3-itemset support over per-user event-type baskets
         (the Apriori support-count stage): distinct (user, type) pairs
         bucket by user; inside a complete bucket two vectorized polars
         self-joins enumerate each user's ordered type triples, and the
-        bounded 3-set domain (C(|types|,3)) tree-combines to global
+        bounded 3-set domain (C(|types|,3)) sums to global
         support counts — candidate generation never leaves the bucket,
         counts never shuffle raw rows."""
         import polars as pl
@@ -6742,12 +6417,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         per_bucket = bucketed_map_groups(ds, "user_id", kernel)
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by(["t1", "t2", "t3"]).aggregate(
-                [("support", "sum")]).rename_columns(
-                ["t1", "t2", "t3", "support"])
-
-        return lowcard_combine(per_bucket, combine)
+        return lowcard_aggregate(
+            per_bucket, ["t1", "t2", "t3"], [("support", "sum")],
+            lambda t: t.rename_columns(["t1", "t2", "t3", "support"]))
 
     def part_copurchase_top20(sf_dir):
         """Market-basket pair mining over an UNBOUNDED item domain —
@@ -6803,7 +6475,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def orders_monthly_growth(sf_dir):
         """Month-over-month revenue growth — the LAG-window KPI:
-        bounded month domain reduces by one lowcard tree-combine
+        bounded month domain reduces by one lowcard aggregate
         (exact int64 cents), the ≤|months| ordered rows diff in the
         final task; growth ratio divides the same exact cents on both
         engines (first month NULL, div-by-zero → NULL)."""
@@ -6819,20 +6491,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
             cents = np.round(np.asarray(t.column("o_totalprice"),
                                         dtype=np.float64) * 100.0) \
                 .astype(np.int64)
-            g = pa.table({"month": m, "s": pa.array(cents)}) \
-                .group_by("month").aggregate([("s", "sum")])
-            return g.rename_columns(["month", "s"])
+            return pa.table({"month": m, "s": pa.array(cents)})
 
-        def combine(t: pa.Table) -> pa.Table:
-            return t.group_by("month").aggregate([("s", "sum")]) \
-                .rename_columns(["month", "s"])
-
-        def final(t: pa.Table) -> pa.Table:
-            t = combine(t)
+        def finish(t: pa.Table) -> pa.Table:
             order = np.argsort(np.asarray(t.column("month"),
                                           dtype=object))
             m = np.asarray(t.column("month"), dtype=object)[order]
-            s = np.asarray(t.column("s"), dtype=np.int64)[order]
+            s = np.asarray(t.column("s_sum"), dtype=np.int64)[order]
             growth = np.full(len(s), np.nan)
             if len(s) > 1:
                 prev = s[:-1].astype(np.float64)
@@ -6851,8 +6516,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "growth": pa.array(np.where(
                     np.isnan(growth), None, g4), type=pa.float64())})
 
-        return lowcard_combine(ds, partial, final_fn=final,
-                               combine_fn=combine)
+        return lowcard_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow"), "month",
+            [("s", "sum")], finish)
 
     def events_dau_wau_stickiness(sf_dir):
         """DAU / WAU / stickiness per day — the growth-analytics KPI
@@ -6869,19 +6535,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ds = _tbl(sf_dir, "events", columns=["user_id", "ts"])
 
         # bounded pull: the set of days present in the stream
-        def days_partial(t: pa.Table) -> pa.Table:
-            d = pc.divide(t.column("ts").cast(pa.timestamp("us"))
-                          .cast(pa.int64()), 86_400_000_000)
-            return pa.table({"day": d.combine_chunks().unique()})
-
-        def days_combine(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "day": t.column("day").combine_chunks().unique()})
+        def days(t: pa.Table) -> pa.Table:
+            return pa.table({"day": pc.divide(
+                t.column("ts").cast(pa.timestamp("us")).cast(pa.int64()),
+                86_400_000_000)})
 
         present = np.sort(np.asarray(
-            [r["day"] for r in lowcard_combine(
-                ds, days_partial, final_fn=days_combine,
-                combine_fn=days_combine).take_all()], dtype=np.int64))
+            [r["day"] for r in lowcard_aggregate(
+                ds.map_batches(days, batch_format="pyarrow"), "day",
+                []).take_all()], dtype=np.int64))
 
         def expand(t: pa.Table) -> pa.Table:
             d = np.asarray(pc.divide(
@@ -6908,21 +6570,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ds.map_batches(expand, batch_format="pyarrow"),
             ["user_id", "day"], [("is_dau", "max")])
 
-        def count_partial(t: pa.Table) -> pa.Table:
-            t = t.rename_columns(["user_id", "day", "is_dau"])
-            g = t.group_by("day").aggregate(
-                [([], "count_all"), ("is_dau", "sum")])
-            return g.rename_columns(["day", "wau", "dau"])
-
-        def count_combine(t: pa.Table) -> pa.Table:
-            return t.group_by("day").aggregate(
-                [("wau", "sum"), ("dau", "sum")]).rename_columns(
-                ["day", "wau", "dau"])
-
         def finish(t: pa.Table) -> pa.Table:
-            t = count_combine(t)
-            dau = np.asarray(t.column("dau"), dtype=np.int64)
-            wau = np.asarray(t.column("wau"), dtype=np.int64)
+            dau = np.asarray(t.column("is_dau_max_sum"), dtype=np.int64)
+            wau = np.asarray(t.column("count_all"), dtype=np.int64)
             ratio = dau / wau.astype(np.float64)
             return pa.table({
                 "day": t.column("day").cast(pa.int64()),
@@ -6932,8 +6582,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "stickiness": pa.array(
                     np.floor(ratio * 1e4 + 0.5) / 1e4)})
 
-        return lowcard_combine(pairs, count_partial, final_fn=finish,
-                               combine_fn=count_combine)
+        return lowcard_aggregate(
+            pairs, "day", [([], "count_all"), ("is_dau_max", "sum")],
+            finish)
 
     def events_enriched_user_n(sf_dir):
         """Probe-side enrichment through the SKEW-SALTED join
@@ -7250,7 +6901,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ev = _tbl(sf_dir, "events", columns=["user_id", "event_type"])
 
         def block_dedup(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
             return t.group_by(["user_id", "event_type"]).aggregate([]) \
                 if t.num_rows else t
 
@@ -7572,7 +7222,9 @@ def oracle_sql() -> dict[str, str]:
     from ie_ray.stages.tokenizer import bpe_pairs_oracle_sql as _bpe_oracle
     from ie_ray.stages.zorder import morton2_sql as _morton_sql
     from ie_ray.stages.sketches import heavy_hitters_oracle_sql as _hh_oracle
-    keep_sql = (
+    # near-dup reachability over word-trigram Jaccard >= 0.5: reach(x, y)
+    # holds every doc y in x's component (the near-dedup queries' CTEs)
+    reach_sql = (
         "WITH RECURSIVE w AS (SELECT doc_id, regexp_extract_all(translate("
         "text, 'ABCDEFGHIJKLMNOPQRSTUVWXYZ', "
         "'abcdefghijklmnopqrstuvwxyz'), '[0-9a-z_]+') AS words "
@@ -7586,8 +7238,9 @@ def oracle_sql() -> dict[str, str]:
         "len(list_distinct(list_concat(a.grams, b.grams))) >= 0.5), "
         "reach(x, y) AS (SELECT x, y FROM e "
         "UNION SELECT r.x, e.y FROM reach r JOIN e ON r.y = e.x "
-        "WHERE e.y != r.x) "
-        "SELECT doc_id FROM documents d WHERE NOT EXISTS "
+        "WHERE e.y != r.x)")
+    keep_sql = (
+        reach_sql + " SELECT doc_id FROM documents d WHERE NOT EXISTS "
         "(SELECT 1 FROM reach WHERE reach.x = d.doc_id "
         "AND reach.y < d.doc_id)")
     from ie_ray.stages.decontam import decontam_sql
@@ -8817,20 +8470,7 @@ def oracle_sql() -> dict[str, str]:
             "x -> CAST(x AS DOUBLE) * CAST(x AS DOUBLE)))) AS norm "
             "FROM embeddings) GROUP BY label",
         "minhash_cluster_sizes":
-            "WITH RECURSIVE w AS (SELECT doc_id, regexp_extract_all("
-            "translate(text, 'ABCDEFGHIJKLMNOPQRSTUVWXYZ', "
-            "'abcdefghijklmnopqrstuvwxyz'), '[0-9a-z_]+') AS words "
-            "FROM documents), "
-            "g AS (SELECT doc_id, list_distinct(list_transform(range(1, "
-            "len(words)-1), i -> words[i] || ' ' || words[i+1] || ' ' || "
-            "words[i+2])) AS grams FROM w WHERE len(words) >= 3), "
-            "e AS (SELECT a.doc_id AS x, b.doc_id AS y FROM g a JOIN g b "
-            "ON a.doc_id != b.doc_id "
-            "WHERE len(list_intersect(a.grams, b.grams))::DOUBLE / "
-            "len(list_distinct(list_concat(a.grams, b.grams))) >= 0.5), "
-            "reach(x, y) AS (SELECT x, y FROM e "
-            "UNION SELECT r.x, e.y FROM reach r JOIN e ON r.y = e.x "
-            "WHERE e.y != r.x), "
+            reach_sql + ", "
             "comp AS (SELECT d.doc_id AS doc_id, least(d.doc_id, "
             "coalesce((SELECT min(y) FROM reach WHERE x = d.doc_id), "
             "d.doc_id)) AS rep FROM documents d), "

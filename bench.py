@@ -38,7 +38,6 @@ def _sf(sf_dir: str) -> float:
 
 def flagship_stats(sf_dir: str, n_pages: int = None) -> dict:
     """Run the KG flagship; return wall time + docs/sentences/triples."""
-    import ray
     from ie_ray.pipelines.kg import default_fixture_dir, kg_triples
 
     if n_pages is None:

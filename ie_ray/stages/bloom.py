@@ -102,9 +102,9 @@ def bloom_contains(words: np.ndarray, keys: np.ndarray,
 
 
 def build_bloom(ds, on: str, n_bits: int = _N_BITS_DEFAULT,
-                k: int = _K_DEFAULT,
-                tree_fanin: int = 16) -> np.ndarray:
-    """Distributed bitmap build: per-block scatter, tree-OR combine.
+                k: int = _K_DEFAULT) -> np.ndarray:
+    """Distributed bitmap build: per-block scatter, OR combine (through
+    a tree level once the block bitmaps are many).
     Returns the uint64 word array (bounded driver pull: n_bits/8
     bytes, independent of key count)."""
     from ie_ray.stages.relational import lowcard_combine
@@ -126,8 +126,7 @@ def build_bloom(ds, on: str, n_bits: int = _N_BITS_DEFAULT,
                                           type=pa.large_binary())})
 
     out = lowcard_combine(ds.select_columns([on]), partial,
-                          final_fn=combine, combine_fn=combine,
-                          tree_fanin=tree_fanin).take_all()
+                          final_fn=combine, combine_fn=combine).take_all()
     if not out:   # zero-row build side: map_batches never ran
         return np.zeros(n_bits // 64, dtype=np.uint64)
     return np.frombuffer(out[0]["bits"], dtype=np.uint64)

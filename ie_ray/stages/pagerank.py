@@ -130,8 +130,8 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85, seeds=None):
         contribs = (adaptive_join(edges_w, ranks, "node")
                     .map_batches(contrib, batch_format="pyarrow")
                     ).materialize()
-        total = ranks.sum("rank")
-        linked = contribs.sum("c") or 0.0   # == sum of linked-node ranks
+        total = _exact_sum(ranks, "rank")
+        linked = _exact_sum(contribs, "c")   # == sum of linked-node ranks
         dangling = total - linked
         base = (1.0 - damping) / k + damping * dangling / k
 
@@ -145,6 +145,36 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85, seeds=None):
                  .map_batches(finish, batch_format="pyarrow")).materialize()
 
     return ranks
+
+
+# one float64 as an integer count of 2**-1127 units: frexp's 53-bit
+# mantissa shifted left by e + 1074, which is >= 1 down to the least
+# subnormal (e = -1073)
+_EXACT_SHIFT = 1074
+
+
+def _exact_sum(ds, col: str) -> float:
+    """Σ ``col`` rounded once from the exact sum, so the same bits in
+    any block order (``Dataset.sum`` adds its block partials in the
+    order they finish).  Each block sends one Python int; finite
+    values only."""
+    from fractions import Fraction
+
+    def part(t: pa.Table) -> pa.Table:
+        m, e = np.frexp(np.asarray(t.column(col), dtype=np.float64))
+        mi = (m * 2.0 ** 53).astype(np.int64)
+        e = e + _EXACT_SHIFT
+        exact = 0
+        for ex in np.unique(e):
+            sel = mi[e == ex]
+            # split the 53-bit mantissas so their int64 sums cannot wrap
+            exact += ((int((sel >> 26).sum()) << 26)
+                      + int((sel & ((1 << 26) - 1)).sum())) << int(ex)
+        return pa.table({"s": [str(exact)]})
+
+    exact = sum(int(r["s"]) for r in
+                ds.map_batches(part, batch_format="pyarrow").take_all())
+    return float(Fraction(exact, 1 << (53 + _EXACT_SHIFT)))
 
 
 def pagerank_weighted_reference(src, dst, w, iters: int = 10,

@@ -101,8 +101,16 @@ def anti_join(left_ds, right_ds, left_key: str, right_key: str):
     return _exists_join(left_ds, right_ds, left_key, right_key, False)
 
 
-def lowcard_combine(ds, partial_fn, final_fn=None, combine_fn=None,
-                    tree_fanin: int = 16):
+# ``lowcard_combine``'s flat-vs-tree rule.  The block partials are
+# counted once materialized: up to this many rows they all go to the one
+# final task; above it they first tree-reduce through
+# ``LOWCARD_TREE_FANIN`` tasks, so no task receives more than
+# ~max(blocks/fanin, fanin) × |keys| rows.
+LOWCARD_FLAT_MAX_ROWS = 100_000
+LOWCARD_TREE_FANIN = 16
+
+
+def lowcard_combine(ds, partial_fn, final_fn=None, combine_fn=None):
     """Two-level aggregate for BOUNDED key domains (≲10k distinct keys):
     ``partial_fn`` reduces each block to ≤|keys| rows, every partial
     lands in ONE task (``repartition(1)``) where ``final_fn`` (defaults
@@ -110,25 +118,106 @@ def lowcard_combine(ds, partial_fn, final_fn=None, combine_fn=None,
     Aggregate exchange entirely — measured 4.5× faster on a 6-group
     600k-row aggregate — and stays scale-correct because the single
     reducer sees blocks × |keys| rows, not input rows.  For unbounded
-    key domains (user ids, doc ids) use ``groupby``.
+    key domains (user ids, doc ids) use ``groupby``; for a plain
+    ``(keys, aggs)`` spec use ``lowcard_aggregate``.
 
-    For LARGER key domains or extreme block counts (blocks × keys no
-    longer a small table — e.g. a time-growing (window, type) domain at
-    ~10^6 blocks), pass ``combine_fn``: a MERGEABLE partial-output →
-    partial-output reducer (same schema in and out).  The block
-    partials then tree-reduce through ``tree_fanin`` intermediate tasks
-    before the final task, so no single task ever receives more than
-    ~max(blocks/tree_fanin, tree_fanin) × |keys| rows; raise
-    ``tree_fanin`` toward sqrt(blocks) for extreme block counts.
+    ``combine_fn``, when given, is a MERGEABLE partial-output →
+    partial-output reducer (same schema in and out).  The partials are
+    then materialized and counted: above ``LOWCARD_FLAT_MAX_ROWS`` rows
+    (a time-growing key domain, an extreme block count) they
+    tree-reduce through ``LOWCARD_TREE_FANIN`` ``combine_fn`` tasks
+    before the final task; below it the tree level would only add
+    tasks, so the plan stays flat — the size rule ``adaptive_join``
+    applies to its build side.
     """
     final = final_fn if final_fn is not None else partial_fn
     partials = ds.map_batches(partial_fn, batch_format="pyarrow")
     if combine_fn is not None:
-        partials = (partials.repartition(tree_fanin)
-                    .map_batches(combine_fn, batch_format="pyarrow",
-                                 batch_size=None))
+        partials = partials.materialize()
+        if partials.count() > LOWCARD_FLAT_MAX_ROWS:
+            partials = (partials.repartition(LOWCARD_TREE_FANIN)
+                        .map_batches(combine_fn, batch_format="pyarrow",
+                                     batch_size=None))
     return (partials.repartition(1)
             .map_batches(final, batch_format="pyarrow", batch_size=None))
+
+
+# how each aggregate's block partial merges: a count merges by summing
+_MERGE_FN = {"count_all": "sum", "count": "sum", "sum": "sum",
+             "min": "min", "max": "max"}
+
+
+def lowcard_aggregate(ds, keys, aggs, finish=None):
+    """``group_by(keys).aggregate(aggs)`` over a BOUNDED key domain — the
+    twin of ``bucketed_aggregate`` (same spec, same pyarrow output
+    names, same result as one Arrow group-by over the whole input) for
+    ``count_all``, ``count``, ``sum``, ``min`` and ``max``; an empty
+    ``aggs`` gives the distinct keys.
+
+    Each block reduces to its own group-by (the partial); one final
+    task merges the partials column by column (a count or sum by ``sum``,
+    ``min``/``max`` by themselves) through ``lowcard_combine``, which
+    adds a tree level when the partials are many.  ``finish``, when
+    given, maps the merged table in that final task (rename, cast,
+    round, any numeric tail).
+    """
+    key_list = [keys] if isinstance(keys, str) else list(keys)
+    names = [a[1] if not a[0] else "%s_%s" % (a[0], a[1]) for a in aggs]
+    merge_aggs = [(n, _MERGE_FN[a[1]]) for n, a in zip(names, aggs)]
+
+    # a schema-less empty block (what a zero-key join partition can
+    # emit) passes through every step as it is
+    def partial(t: pa.Table) -> pa.Table:
+        return _group_by(t, key_list, aggs) if t.num_columns else t
+
+    def merge(t: pa.Table) -> pa.Table:
+        if not t.num_columns:
+            return t
+        return _group_by(t, key_list, merge_aggs).rename_columns(
+            key_list + names)
+
+    def final(t: pa.Table) -> pa.Table:
+        t = merge(t)
+        return finish(t) if finish is not None and t.num_columns else t
+
+    return lowcard_combine(ds, partial, final, combine_fn=merge)
+
+
+def _group_by(t: pa.Table, key_list, aggs,
+              use_threads: bool = True) -> pa.Table:
+    """``t.group_by(key_list).aggregate(aggs)``, keys first.
+
+    pyarrow 16.1 MULTI-key group_by fragments any key tuple containing a
+    null at exec-batch boundaries (reproduced: a 70k-row table yields
+    ~one duplicate output row per 128-row exec batch for each
+    null-containing tuple; single-key is unaffected).  Collision-proof
+    workaround: group by (filled key, validity flag) instead — the flag
+    disambiguates a sentinel collision with a real value — then restore
+    nulls."""
+    helpers = []
+    if len(key_list) > 1:
+        for k in key_list:
+            col = t.column(k)
+            if col.null_count:
+                vcol = "__valid_" + k
+                t = t.set_column(
+                    t.column_names.index(k), k,
+                    pc.fill_null(col, _null_fill_scalar(col.type)))
+                t = t.append_column(vcol, pc.is_valid(col))
+                helpers.append((k, vcol))
+    out = t.group_by(key_list + [v for _, v in helpers],
+                     use_threads=use_threads).aggregate(aggs)
+    for k, vcol in helpers:
+        col = out.column(k)
+        out = out.set_column(
+            out.column_names.index(k), k,
+            pc.if_else(out.column(vcol), col,
+                       pa.scalar(None, type=col.type)))
+    return out.drop_columns([v for _, v in helpers]) if helpers else out
+
+
+# aggregates whose result does not depend on the order rows are added in
+_ORDER_FREE = {"count_all", "count", "count_distinct", "min", "max"}
 
 
 def bucketed_aggregate(ds, keys, aggs, parts: int = 64,
@@ -147,42 +236,24 @@ def bucketed_aggregate(ds, keys, aggs, parts: int = 64,
     output columns follow pyarrow naming (``n_sum``).  Size ``parts`` so
     one bucket (~input_rows/parts) fits a worker's heap; a hot KEY still
     lands in one bucket, but combining aggregates cost O(rows) there,
-    not O(rows²).  Int sums/counts are exact; float aggregates change
-    addition order vs a plain groupby (as any shuffle does).
+    not O(rows²).  Int sums/counts are exact.  A bucket's rows arrive in
+    block order, which varies from run to run, so when a float column
+    feeds an order-dependent aggregate (``sum``, ``mean``, …) the bucket
+    is first sorted by the keys and those columns and aggregated on one
+    thread: the result is the same bits in every run (not the same bits
+    as a plain groupby, whose addition order is the input's).
     """
     key_list = [keys] if isinstance(keys, str) else list(keys)
     add_part = _make_add_part(key_list, parts, part_col)
 
     def per_bucket(g: pa.Table) -> pa.Table:
         g = g.drop_columns([part_col])
-        # pyarrow 16.1 MULTI-key group_by fragments any key tuple
-        # containing a null at exec-batch boundaries (reproduced: a
-        # 70k-row table yields ~one duplicate output row per 128-row
-        # exec batch for each null-containing tuple; single-key is
-        # unaffected).  Collision-proof workaround: group by
-        # (filled key, validity flag) instead — the flag disambiguates
-        # a sentinel collision with a real value — then restore nulls.
-        helpers = []
-        if len(key_list) > 1:
-            for k in key_list:
-                col = g.column(k)
-                if col.null_count:
-                    vcol = "__valid_" + k
-                    g = g.set_column(
-                        g.column_names.index(k), k,
-                        pc.fill_null(col, _null_fill_scalar(col.type)))
-                    g = g.append_column(vcol, pc.is_valid(col))
-                    helpers.append((k, vcol))
-        out = g.group_by(
-            key_list + [v for _, v in helpers]).aggregate(aggs)
-        for k, vcol in helpers:
-            col = out.column(k)
-            out = out.set_column(
-                out.column_names.index(k), k,
-                pc.if_else(out.column(vcol), col,
-                           pa.scalar(None, type=col.type)))
-        return out.drop_columns([v for _, v in helpers]) if helpers \
-            else out
+        floats = [a[0] for a in aggs
+                  if a[1] not in _ORDER_FREE and isinstance(a[0], str)
+                  and pa.types.is_floating(g.schema.field(a[0]).type)]
+        if floats:
+            g = g.sort_by([(c, "ascending") for c in key_list + floats])
+        return _group_by(g, key_list, aggs, use_threads=not floats)
 
     return ds.map_batches(add_part, batch_format="pyarrow") \
         .groupby(part_col).map_groups(per_bucket, batch_format="pyarrow")

@@ -330,7 +330,6 @@ def pmi_bigrams(docs, k: int = 20, min_count: int = 50):
             names = pc.utf8_slice_codeunits(s.column("gram"), 2,
                                             2**31 - 1)
             if len(cols) == 2:
-                import numpy as np
                 parts = [x.split(" ") for x in names.to_pylist()]
                 return pa.table({
                     cols[0]: pa.array([p[0] for p in parts],
@@ -536,11 +535,9 @@ def dsir_scores_hashed(docs, target_lang: str = "en",
     tests/test_dsir_hashed.py (determinism + planted separation +
     agreement-in-ranking with the exact-word variant).
     """
-    import zlib
-
     import ray
 
-    from ie_ray.stages.relational import lowcard_combine
+    from ie_ray.stages.relational import lowcard_aggregate
 
     def _bigrams(col):
         """(bucket_id, row_id) for every within-row bigram in the block,
@@ -570,19 +567,14 @@ def dsir_scores_hashed(docs, target_lang: str = "en",
             "bucket": pa.array(np.arange(n_buckets, dtype=np.int64)),
             "c": pa.array(raw), "tc": pa.array(tgt)})
 
-    def count_combine(t: pa.Table) -> pa.Table:
-        g = t.group_by("bucket").aggregate(
-            [("c", "sum"), ("tc", "sum")])
-        return g.rename_columns(["bucket", "c", "tc"])
-
-    cnt = lowcard_combine(
-        docs.map_batches(count_partial, batch_format="pyarrow"),
-        count_combine, combine_fn=count_combine).take_all()
+    cnt = lowcard_aggregate(
+        docs.map_batches(count_partial, batch_format="pyarrow"), "bucket",
+        [("c", "sum"), ("tc", "sum")]).take_all()
     raw = np.zeros(n_buckets, dtype=np.int64)
     tgt = np.zeros(n_buckets, dtype=np.int64)
     for r in cnt:
-        raw[r["bucket"]] = r["c"]
-        tgt[r["bucket"]] = r["tc"]
+        raw[r["bucket"]] = r["c_sum"]
+        tgt[r["bucket"]] = r["tc_sum"]
     n_raw, n_tgt = int(raw.sum()), int(tgt.sum())
     lr = (np.log((tgt + 1.0) / (n_tgt + n_buckets))
           - np.log((raw + 1.0) / (n_raw + n_buckets)))
@@ -813,7 +805,7 @@ def bigram_logprob_hashed(docs, n_buckets: int = 65536,
     exact-word form is the oracle-checked one).
 
     Shape: one pass emits both fixed-size count vectors as bucket
-    rows; a lowcard tree-combine sums them; the driver holds
+    rows; one lowcard aggregate sums them; the driver holds
     2 × n_buckets ints and broadcasts one flat log-prob float array;
     scoring is a second stateless pass (a doc's text is one row, so
     per-doc sums are block-safe by construction).  Rows:
@@ -821,11 +813,9 @@ def bigram_logprob_hashed(docs, n_buckets: int = 65536,
     tests/test_bigram_logprob.py (determinism + rank agreement with
     the exact variant in the no-collision regime).
     """
-    import zlib
-
     import ray
 
-    from ie_ray.stages.relational import lowcard_combine
+    from ie_ray.stages.relational import lowcard_aggregate
 
     def _hashed(col):
         """(gram_bucket, left_bucket, row_id, n_rows, valid_token_hashes)
@@ -860,21 +850,16 @@ def bigram_logprob_hashed(docs, n_buckets: int = 65536,
             "bucket": pa.array(np.arange(n_buckets, dtype=np.int64)),
             "c": pa.array(c), "c1": pa.array(c1), "occ": pa.array(occ)})
 
-    def count_combine(t: pa.Table) -> pa.Table:
-        g = t.group_by("bucket").aggregate(
-            [("c", "sum"), ("c1", "sum"), ("occ", "max")])
-        return g.rename_columns(["bucket", "c", "c1", "occ"])
-
-    cnt = lowcard_combine(
-        docs.map_batches(count_partial, batch_format="pyarrow"),
-        count_combine, combine_fn=count_combine).take_all()
+    cnt = lowcard_aggregate(
+        docs.map_batches(count_partial, batch_format="pyarrow"), "bucket",
+        [("c", "sum"), ("c1", "sum"), ("occ", "max")]).take_all()
     c = np.zeros(n_buckets, dtype=np.int64)
     c1 = np.zeros(n_buckets, dtype=np.int64)
     occ = np.zeros(n_buckets, dtype=np.int64)
     for r in cnt:
-        c[r["bucket"]] = r["c"]
-        c1[r["bucket"]] = r["c1"]
-        occ[r["bucket"]] = r["occ"]
+        c[r["bucket"]] = r["c_sum"]
+        c1[r["bucket"]] = r["c1_sum"]
+        occ[r["bucket"]] = r["occ_max"]
     vocab = int(occ.sum())
     # flat log-prob table over gram buckets requires the left bucket per
     # gram bucket — not a function of the gram bucket alone, so the

@@ -226,12 +226,13 @@ def ohlc_bars(ds, period_us: int = 3_600_000_000, ts_col: str = "ts",
     Scale shape: ordered first/last are NOT Ray/Arrow builtin aggregates
     but they ARE mergeable once each partial carries its arg-key —
     each block reduces to ≤|periods| rows of
-    (period, open-key, open, close-key, close, high, low, n), partials
-    tree-combine by re-applying the same lexicographic-min/max rule
-    (``relational.lowcard_combine`` with ``combine_fn``), so no task
-    ever holds more than ~fanin × |periods| rows and the raw stream is
-    never shuffled.  The period domain is bounded (hours of a crawl
-    window ≲ 10^5), which is what makes the lowcard path legal.
+    (period, open-key, open, close-key, close, high, low, n), and
+    partials merge by re-applying the same lexicographic-min/max rule
+    (``relational.lowcard_combine`` with ``combine_fn``: once the
+    partials are many they tree-combine, so no task holds more than
+    ~fanin × |periods| rows), and the raw stream is never shuffled.
+    The period domain is bounded (hours of a crawl window ≲ 10^5),
+    which is what makes the lowcard path legal.
 
     Returns Dataset (h timestamp[us], open_c, high_c, low_c, close_c,
     n) — one row per non-empty period.

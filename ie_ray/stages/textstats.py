@@ -254,7 +254,8 @@ def source_kl(docs):
     """
     import polars as pl
     from ie_ray.stages.dedup import _join_partitions
-    from ie_ray.stages.relational import bucketed_aggregate, lowcard_combine
+    from ie_ray.stages.relational import (bucketed_aggregate,
+                                          lowcard_aggregate)
 
     def partial(b: pa.Table) -> pa.Table:
         df = pl.from_arrow(b.select(["source", "text"]))
@@ -305,20 +306,19 @@ def source_kl(docs):
                           count=len(src))
         ps = c / nsv
         term = ps * np.log(ps / (cwv / float(n_total)))
-        out = pa.table({"source": t.column("source"),
-                        "kl": pa.array(term, type=pa.float64())})
-        return out.group_by("source").aggregate([("kl", "sum")]) \
-            .rename_columns(["source", "kl"])
+        return pa.table({"source": t.column("source"),
+                         "kl": pa.array(term, type=pa.float64())})
 
-    def final(t: pa.Table) -> pa.Table:
+    def finish(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        g = t.group_by("source").aggregate([("kl", "sum")])
         return pa.table({
             "source": g.column("source"),
             "kl": pc.round(g.column("kl_sum"), 4,
                            round_mode="half_towards_infinity")})
 
-    return lowcard_combine(joined, contrib, final_fn=final)
+    return lowcard_aggregate(
+        joined.map_batches(contrib, batch_format="pyarrow"), "source",
+        [("kl", "sum")], finish)
 
 
 SOURCE_KL_SQL = (

@@ -157,3 +157,47 @@ def test_kg_pagerank_finishes_at_two_cpus():
                           timeout=240)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert int(proc.stdout.split()[-1]) > 0
+
+
+def test_rank_sums_bit_identical_across_block_orders(ray_session):
+    """Each destination's incoming rank mass is one float sum over its
+    contributions (``pagerank``'s per-round ``bucketed_aggregate``); fed
+    in two block orders, the sums must be the same bits, not only close,
+    so an unrounded rank repeats from run to run."""
+    import ray.data
+    from ie_ray.stages.relational import bucketed_aggregate
+    rng = np.random.RandomState(11)
+    n = 6000
+    contribs = pa.table({
+        "node": pa.array(["n%d" % i for i in rng.randint(0, 40, n)]),
+        "c": pa.array(rng.rand(n) * 10.0 ** rng.randint(-9, 3, n))})
+    blocks = [contribs.slice(i, 500) for i in range(0, n, 500)]
+
+    def sums(bs):
+        out = bucketed_aggregate(ray.data.from_arrow(bs), "node",
+                                 [("c", "sum")]).take_all()
+        return {r["node"]: r["c_sum"] for r in out}
+
+    fwd, rev = sums(blocks), sums(blocks[::-1])
+    assert len(fwd) == 40
+    assert fwd == rev
+
+
+
+def test_pagerank_bit_identical_across_block_orders(ray_session):
+    """The whole power iteration, dangling mass included, gives the same
+    bits whatever order the edge blocks arrive in."""
+    import ray.data
+    from ie_ray.stages.pagerank import pagerank
+    rng = np.random.RandomState(4)
+    n = 3000
+    edges = pa.table({
+        "subj_id": pa.array(["v%d" % i for i in rng.randint(0, 60, n)]),
+        "obj_id": pa.array(["v%d" % i for i in rng.randint(0, 80, n)])})
+    blocks = [edges.slice(i, 250) for i in range(0, n, 250)]
+
+    def ranks(bs):
+        return {r["node"]: r["rank"] for r in
+                pagerank(ray.data.from_arrow(bs), iters=5).take_all()}
+
+    assert ranks(blocks) == ranks(blocks[::-1])
